@@ -41,8 +41,10 @@ def _check_action(a: int, name: str = "a") -> None:
 
 
 def exp_potential_mean(obs: ObservedLaw, a: int, l: str) -> float:
-    """``E[Y^a | L=l]`` from the trial block alone."""
+    """``E[Y^a | L=l]`` from the trial block alone, which must have participants."""
     _check_action(a)
+    if l in obs.p_r1 and obs.p_r1[l] <= 0.0:
+        raise PositivityError(f"empty block (level {l!r}, R=1)")
     return obs.p_y_given_a(a, l, r=1)
 
 

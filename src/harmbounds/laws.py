@@ -82,6 +82,16 @@ def _check_prob(value: float, what: str) -> None:
         raise LawValidationError(f"{what} = {value!r} is not a probability")
 
 
+def _outcome_mass(probs: tuple[float, float, float, float], a: int) -> float:
+    """Mass of the strata with ``Y^a = 1``, clamped to [0, 1].
+
+    A stratum block may sum to 1 within the validation tolerance, so the
+    raw sum can leave [0, 1] by rounding.
+    """
+    mass = sum(probs[s - 1] for s in STRATA if potential_outcome(s, a) == 1)
+    return min(1.0, max(0.0, mass))
+
+
 @dataclass(frozen=True)
 class FullLaw:
     """Complete counterfactual law plus trial design.
@@ -114,13 +124,11 @@ class FullLaw:
 
     def potential_mean(self, a: int, l: str) -> float:
         """``P(Y=1 | L=l)`` under an intervention fixing treatment to ``a``."""
-        probs = self.strata_marginal(l)
-        return sum(probs[s - 1] for s in STRATA if potential_outcome(s, a) == 1)
+        return _outcome_mass(self.strata_marginal(l), a)
 
     def potential_mean_given_astar(self, a: int, astar: int, l: str) -> float:
         """``P(Y=1 | L=l, A*=astar)`` under an intervention fixing ``a``."""
-        probs = self.strata_conditional(l, astar)
-        return sum(probs[s - 1] for s in STRATA if potential_outcome(s, a) == 1)
+        return _outcome_mass(self.strata_conditional(l, astar), a)
 
     def marginal_potential_mean(self, a: int) -> float:
         """``P(Y=1)`` under an intervention fixing ``a``, marginal over levels."""

@@ -13,7 +13,8 @@ received treatment.
 
 from __future__ import annotations
 
-import io
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,6 @@ class Dataset:
     def has_oracle(self) -> bool:
         return self.astar is not None
 
-    def level_labels(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=object)[self.level_idx]
-
 
 def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
     """Draw ``n`` independent rows from the observed-data law of ``law``."""
@@ -172,80 +170,98 @@ def estimate_observed_law(data: Dataset, smoothing: float = 0.0) -> ObservedLaw:
 
 # ---------------------------------------------------------------------------
 # CSV round-trip.  Header `R,L,A,Y` (+`,ASTAR,S` in oracle mode); a leading
-# '#' comment records the generator and seed.
+# '#' comment records the generator and seed.  A dataset has few distinct
+# lines (at most 8 per level, 64 in oracle mode), so both directions work on
+# a table of those lines and move rows with one numpy gather per column.
 # ---------------------------------------------------------------------------
 
+#: Integer-coded columns in file order and the values each allows.
+_CODED = (("R", (0, 1)), ("A", (0, 1)), ("Y", (0, 1)), ("ASTAR", (0, 1)), ("S", (1, 2, 3, 4)))
+
+
 def format_dataset_csv(data: Dataset) -> str:
-    out = io.StringIO()
-    if data.seed is not None:
-        out.write(f"# {data.bit_generator} seed={data.seed} n={data.n}\n")
-    header = "R,L,A,Y"
+    """CSV text of ``data``: each row is a cell code into a table of line strings.
+
+    The code is mixed-radix over ``(R, level, A, Y[, ASTAR, S])`` in column
+    order, so the table holds one line per possible cell.
+    """
+    columns = (data.r, data.level_idx, data.a, data.y)
     if data.has_oracle:
-        header += ",ASTAR,S"
-    out.write(header + "\n")
-    labels = data.level_labels()
-    if data.has_oracle:
-        for i in range(data.n):
-            out.write(f"{data.r[i]},{labels[i]},{data.a[i]},{data.y[i]},"
-                      f"{data.astar[i]},{data.s[i]}\n")
-    else:
-        for i in range(data.n):
-            out.write(f"{data.r[i]},{labels[i]},{data.a[i]},{data.y[i]}\n")
-    return out.getvalue()
+        columns += (data.astar, data.s)
+    fields = [_CODED[0], ("L", range(len(data.levels))), *_CODED[1:]][:len(columns)]
+    code = np.zeros(data.n, dtype=np.intp)
+    for (name, values), column in zip(fields, columns):
+        if np.any((column < values[0]) | (column > values[-1])):
+            raise ValueError(f"column {name} contains values outside {tuple(values)}")
+        code = code * len(values) + (column - values[0])
+    texts = [[str(v) for v in values] for _, values in fields]
+    texts[1] = data.levels
+    table = np.array([",".join(cell) + "\n" for cell in itertools.product(*texts)],
+                     dtype=object)
+
+    head = f"# {data.bit_generator} seed={data.seed} n={data.n}\n" if data.seed is not None else ""
+    head += ",".join(name for name, _ in fields) + "\n"
+    return head + "".join(table[code].tolist())
 
 
 def parse_dataset_csv(text: str) -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    """Parse dataset CSV text.
+
+    Blank lines and lines starting with ``#`` are skipped wherever they
+    occur, and fields are whitespace-stripped.  Error line numbers count
+    the other lines, the header being line 1.  Each distinct line is split
+    and checked once, and a row is kept as the id of its line.
+    """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a line not seen before gets the next id
+    lines = text.splitlines()
+    row_ids = np.fromiter(map(ids.__getitem__, lines), dtype=np.intp, count=len(lines))
+    distinct = list(ids)
+    skip = np.array([not ln.strip() or ln.startswith("#") for ln in distinct], dtype=bool)
+    kept = row_ids[~skip[row_ids]]
+    if kept.size == 0:
         raise FileFormatError("dataset file has no header")
-    header = [h.strip().upper() for h in lines[0].split(",")]
+    header_line = distinct[kept[0]]
+    header = [h.strip().upper() for h in header_line.split(",")]
     if header[:4] != ["R", "L", "A", "Y"]:
         raise FileFormatError("dataset header must start with R,L,A,Y")
     oracle = header == ["R", "L", "A", "Y", "ASTAR", "S"]
     if not oracle and header != ["R", "L", "A", "Y"]:
-        raise FileFormatError(f"unrecognized dataset header {lines[0]!r}")
-
-    width = 6 if oracle else 4
-    r_col, label_col, a_col, y_col = [], [], [], []
-    astar_col, s_col = [], []
-    for lineno, row in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in row.split(",")]
-        if len(parts) != width:
-            raise FileFormatError(f"line {lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            r_col.append(int(parts[0]))
-            a_col.append(int(parts[2]))
-            y_col.append(int(parts[3]))
-            if oracle:
-                astar_col.append(int(parts[4]))
-                s_col.append(int(parts[5]))
-        except ValueError:
-            raise FileFormatError(f"line {lineno}: non-integer coded field") from None
-        label_col.append(parts[1])
-    if not r_col:
+        raise FileFormatError(f"unrecognized dataset header {header_line!r}")
+    rows = kept[1:]
+    if rows.size == 0:
         raise FileFormatError("dataset file has no rows")
 
-    levels = tuple(sorted(set(label_col)))
+    width = 6 if oracle else 4
+    parsed: dict[int, tuple[str, list[int]]] = {}
+    errors: dict[int, str] = {}
+    for i in np.flatnonzero(np.bincount(rows, minlength=len(distinct))).tolist():
+        parts = [p.strip() for p in distinct[i].split(",")]
+        if len(parts) != width:
+            errors[i] = f"expected {width} fields, got {len(parts)}"
+            continue
+        try:
+            parsed[i] = (parts[1], [int(p) for j, p in enumerate(parts) if j != 1])
+        except ValueError:
+            errors[i] = "non-integer coded field"
+    if errors:
+        first = int(np.flatnonzero(np.isin(rows, list(errors)))[0])
+        raise FileFormatError(f"line {first + 2}: {errors[int(rows[first])]}")
+    for j, (name, values) in enumerate(_CODED[:width - 1]):
+        if any(coded[j] not in values for _, coded in parsed.values()):
+            raise FileFormatError(f"column {name} contains values outside {values}")
+
+    levels = tuple(sorted({label for label, _ in parsed.values()}))
     index = {l: i for i, l in enumerate(levels)}
-    li = np.array([index[l] for l in label_col], dtype=np.int64)
-
-    def arr(values: list[int], name: str, allowed: tuple[int, ...]) -> np.ndarray:
-        out = np.array(values, dtype=np.int8)
-        bad = ~np.isin(out, allowed)
-        if bad.any():
-            raise FileFormatError(f"column {name} contains values outside {allowed}")
-        return out
-
-    return Dataset(
-        levels=levels,
-        r=arr(r_col, "R", (0, 1)),
-        level_idx=li,
-        a=arr(a_col, "A", (0, 1)),
-        y=arr(y_col, "Y", (0, 1)),
-        astar=arr(astar_col, "ASTAR", (0, 1)) if oracle else None,
-        s=arr(s_col, "S", (1, 2, 3, 4)) if oracle else None,
-        seed=None,
-    )
+    level_of = np.zeros(len(distinct), dtype=np.int64)
+    coded_of = np.zeros((width - 1, len(distinct)), dtype=np.int8)
+    for i, (label, coded) in parsed.items():
+        level_of[i] = index[label]
+        coded_of[:, i] = coded
+    r, a, y, *oracle_cols = (column[rows] for column in coded_of)
+    astar, s = oracle_cols or (None, None)
+    return Dataset(levels=levels, r=r, level_idx=level_of[rows], a=a, y=y,
+                   astar=astar, s=s, seed=None)
 
 
 def read_dataset_file(path: str) -> Dataset:

@@ -62,6 +62,38 @@ class TestExitCodes:
         assert code == 3
         assert "not identified" in err
 
+    def test_empty_trial_is_identification_failure(self, tmp_path, e1_law_path):
+        text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.0 0.5")
+        path = tmp_path / "no-trial.law"
+        path.write_text(text)
+        code, out, err = run("bounds", "--law", str(path))
+        assert code == 3 and out == ""
+        assert "empty block (level 'l0', R=1)" in err
+
+    def test_stratum_block_summing_past_one(self, tmp_path, e1_law_path, pen3_util_path):
+        # the A*=1 block sums to 1 + 2**-52, inside the validation tolerance
+        block = "0.26853172339821946 0 0.7314682766017807 0"
+        text = open(e1_law_path).read().replace(
+            "S l0 1 0.3333333333333333 0.0 0.6666666666666666 0.0", f"S l0 1 {block}")
+        path = tmp_path / "rounded.law"
+        path.write_text(text)
+        code, _, err = run("decide", "--law", str(path), "--utility", pen3_util_path,
+                           "--criterion", "interventionist", "--use-astar")
+        assert code == 0, err
+        both = text.replace("S l0 0 0.0 0.42857142857142855 0.0 0.5714285714285714",
+                            f"S l0 0 {block}")
+        path.write_text(both)
+        code, out, err = run("identify", "--law", str(path))
+        assert code == 0, err
+        assert "E[Y^1 | l]              1.000000" in out
+
+    def test_coded_field_outside_int8_is_format_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("R,L,A,Y\n300,l0,0,0\n")
+        code, _, err = run("bounds", "--data", str(path))
+        assert code == 2
+        assert "column R contains values outside (0, 1)" in err
+
     def test_positivity_is_identification_failure(self, tmp_path, e1_law_path):
         text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.5 0.0")
         path = tmp_path / "degenerate.law"

@@ -19,6 +19,11 @@ class TestExperimentalMeans:
             exp_potential_mean(obs, 1, "l0")
         assert exp_potential_mean(obs, 0, "l0") == pytest.approx(0.5, abs=1e-12)
 
+    def test_empty_trial_block_raises(self, law_e1):
+        obs = observed_from_full(dataclasses.replace(law_e1, p_r1={"l0": 0.0}))
+        with pytest.raises(PositivityError, match=r"empty block \(level 'l0', R=1\)"):
+            exp_potential_mean(obs, 1, "l0")
+
     def test_ignores_observational_block(self, obs_e1):
         uniform = {(y, a): 0.25 for y in (0, 1) for a in (0, 1)}
         tweaked = dataclasses.replace(

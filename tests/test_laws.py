@@ -86,6 +86,17 @@ class TestPushForward:
         for a in (0, 1):
             assert obs.p_y_given_a(a, "l0", 1) == pytest.approx(1.0)
 
+    def test_block_summing_past_one_gives_means_in_unit_interval(self, law_e1):
+        # this block sums to 1 + 2**-52, inside the validation tolerance
+        block = (0.26853172339821946, 0.0, 0.7314682766017807, 0.0)
+        assert sum(block) > 1.0
+        law = dataclasses.replace(law_e1, p_strata={("l0", 1): block, ("l0", 0): block})
+        assert law.potential_mean_given_astar(1, 1, "l0") == 1.0
+        assert law.potential_mean(1, "l0") == 1.0
+        obs = observed_from_full(law)
+        for r in (0, 1):
+            assert min(obs.p_ya[("l0", r)].values()) >= 0.0
+
     @pytest.mark.parametrize("seed", range(50))
     def test_blocks_normalize_on_random_laws(self, seed):
         law = random_law(seed, n_levels=1 + seed % 3)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmbounds import (Dataset, FileFormatError, PositivityError, att_atu,
                         exp_potential_mean, estimate_observed_law,
@@ -121,6 +124,72 @@ class TestEstimation:
                         fused_potential_mean(truth, a, astar, l), abs=0.01)
 
 
+def reference_parse(text: str) -> Dataset:
+    """Per-row reader of a valid dataset CSV."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    oracle = len(lines[0].split(",")) == 6
+    rows = [[p.strip() for p in ln.split(",")] for ln in lines[1:]]
+    levels = tuple(sorted({row[1] for row in rows}))
+
+    def column(j):
+        return np.array([int(row[j]) for row in rows], dtype=np.int8)
+
+    return Dataset(levels=levels, r=column(0),
+                   level_idx=np.array([levels.index(row[1]) for row in rows], dtype=np.int64),
+                   a=column(2), y=column(3), astar=column(4) if oracle else None,
+                   s=column(5) if oracle else None, seed=None)
+
+
+def reference_format(data: Dataset) -> str:
+    """Per-row writer."""
+    text = "" if data.seed is None else f"# pcg64 seed={data.seed} n={data.n}\n"
+    text += "R,L,A,Y,ASTAR,S\n" if data.has_oracle else "R,L,A,Y\n"
+    for i in range(data.n):
+        text += f"{data.r[i]},{data.levels[data.level_idx[i]]},{data.a[i]},{data.y[i]}"
+        text += f",{data.astar[i]},{data.s[i]}\n" if data.has_oracle else "\n"
+    return text
+
+
+@st.composite
+def csv_cases(draw):
+    """A dataset of 1-4 levels and a CSV text of its rows.
+
+    The text pads fields with spaces and tabs, mixes '\\n' and '\\r\\n'
+    endings and puts blank and '#' lines anywhere.
+    """
+    n_levels = draw(st.integers(1, 4))
+    levels = tuple(draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3),
+                                 min_size=n_levels, max_size=n_levels, unique=True)))
+    oracle = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n_levels - 1),
+                                   st.integers(0, 1), st.integers(0, 1),
+                                   st.integers(0, 1), st.integers(1, 4)),
+                         min_size=1, max_size=40))
+    width = 6 if oracle else 4
+    pad = st.sampled_from(["", "", " ", "  ", "\t"])
+    filler = st.lists(st.sampled_from(["", "   ", "\t", "# note", "#R,L,A,Y", "#"]), max_size=2)
+
+    def line(fields):
+        return ",".join(draw(pad) + f + draw(pad) for f in fields)
+
+    header = ["R", "L", "A", "Y", "ASTAR", "S"][:width]
+    lines = draw(filler) + [line(draw(st.sampled_from([header, [h.lower() for h in header]])))]
+    for row in rows:
+        lines += draw(filler)
+        fields = [str(v) for v in row]
+        fields[1] = levels[row[1]]
+        lines.append(line(fields[:width]))
+    lines += draw(filler)
+    text = "".join(ln + draw(st.sampled_from(["\n", "\r\n"])) for ln in lines)
+
+    columns = [np.array(c, dtype=np.int8) for c in zip(*rows)]
+    data = Dataset(levels=levels, r=columns[0], level_idx=columns[1].astype(np.int64),
+                   a=columns[2], y=columns[3], astar=columns[4] if oracle else None,
+                   s=columns[5] if oracle else None,
+                   seed=draw(st.one_of(st.none(), st.integers(0, 2**32))))
+    return text, data
+
+
 class TestCsv:
     def test_round_trip(self, law_e1):
         data = sample_dataset(law_e1, 100, seed=13, oracle=True)
@@ -137,6 +206,13 @@ class TestCsv:
         assert not back.has_oracle
         assert np.array_equal(back.a, data.a)
 
+    def test_format_rejects_uncoded_values(self, law_e1):
+        data = sample_dataset(law_e1, 10, seed=13, oracle=True)
+        with pytest.raises(ValueError, match="column S contains values outside"):
+            format_dataset_csv(dataclasses.replace(data, s=np.zeros_like(data.s)))
+        with pytest.raises(ValueError, match="column L contains values outside"):
+            format_dataset_csv(dataclasses.replace(data, level_idx=data.level_idx - 1))
+
     @pytest.mark.parametrize("text, message", [
         ("", "no header"),
         ("R,L,A\n", "must start with"),
@@ -144,8 +220,39 @@ class TestCsv:
         ("R,L,A,Y\n0,l0,0\n", "expected 4 fields"),
         ("R,L,A,Y\n0,l0,0,x\n", "non-integer"),
         ("R,L,A,Y\n2,l0,0,0\n", "outside"),
+        ("R,L,A,Y\n-1,l0,0,0\n", "column R contains values outside"),
+        ("R,L,A,Y\n300,l0,0,0\n", "column R contains values outside"),
         ("R,L,A,Y\n", "no rows"),
+        # the first bad line wins; blank and '#' lines are not counted
+        ("R,L,A,Y\n0,l0,0,0\n0,l0,x,0\n0,l0,0\n", "line 3: non-integer"),
+        ("R,L,A,Y\n0,l0,0,0\n0,l0,0\n0,l0,x,0\n0,l0,0\n", "line 3: expected 4 fields, got 3"),
+        ("# seed\nR,L,A,Y\n\n# note\n0,l0,0,0\n   \n0,l0,0\n", "line 3: expected 4 fields"),
+        ("R,L,A,Y\n0,l0,0,0\nR,L,A,Y\n", "line 3: non-integer"),
+        # a field-count or non-integer error beats a range error on an earlier line
+        ("R,L,A,Y\n2,l0,0,0\n0,l0,0,x\n", "line 3: non-integer"),
+        ("R,L,A,Y\n2,l0,0,0\n0,l0,0,0,0\n", "line 3: expected 4 fields, got 5"),
+        # range errors come in column order R, A, Y, ASTAR, S
+        ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n3,l0,0,0\n", "column R "),
+        ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n", "column A "),
+        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n0,l0,0,2,1,1\n", "column Y "),
+        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,0,9\n0,l0,0,0,3,1\n", "column ASTAR "),
+        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n", "column S "),
     ])
     def test_malformed(self, text, message):
         with pytest.raises(FileFormatError, match=message):
             parse_dataset_csv(text)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(case=csv_cases())
+    def test_matches_per_row_reference(self, case):
+        text, data = case
+        parsed = parse_dataset_csv(text)
+        expected = reference_parse(text)
+        assert parsed.levels == expected.levels
+        for name in ("r", "level_idx", "a", "y", "astar", "s"):
+            got, want = getattr(parsed, name), getattr(expected, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert format_dataset_csv(data) == reference_format(data)
