@@ -7,22 +7,22 @@ The package splits into small pure layers:
 * :mod:`harmbounds.identify` - potential-outcome means from trial data and
   from fused trial + observational data;
 * :mod:`harmbounds.bounds` - sharp interval identification of stratum
-  probabilities (closed forms and an exact rational LP oracle), treatment
-  regimes, and the bound-improvement test;
+  probabilities in closed form, treatment regimes, and the
+  bound-improvement test;
 * :mod:`harmbounds.utility` - outcome-level and stratum-level utility
   tables, gain equality, and the margin-only fast path;
 * :mod:`harmbounds.decide` - policies under the supported criteria, policy
   evaluation at a known law, and the outcome cost of stratum-level choice;
 * :mod:`harmbounds.simulate` - random laws, dataset sampling, plug-in
   estimation;
-* :mod:`harmbounds.verify` - brute-force property sweeps;
+* :mod:`harmbounds.verify` - brute-force property sweeps and the exact
+  rational LP oracle that certifies the bounds;
 * :mod:`harmbounds.cli` - the ``harmbounds`` command.
 """
 
-from .bounds import (LinearConstraintSystem, Regime, StrataBounds, exp_bounds,
-                     fused_bounds, fused_lower_bound_s1, improvement_test,
-                     polytope_vertices, regime_lower_bound, regime_value,
-                     sharp_bounds_lp, strata_system, stratum_target, true_bounds)
+from .bounds import (Regime, StrataBounds, exp_bounds, fused_bounds,
+                     fused_lower_bound_s1, improvement_test, regime_lower_bound,
+                     regime_value, true_bounds)
 from .decide import (CRITERIA, DecisionCell, DecisionReport, Policy,
                      counterfactual_policy, counterfactual_report,
                      excess_outcome, gain_interval, interventionist_policy,

@@ -28,14 +28,26 @@ combination of the two arm means, so those differences never exceed
 ``max(0, m1 - m0)``.  Tests assert the redundancy rather than carrying the
 terms.
 
-Independently of the closed forms, :func:`sharp_bounds_lp` certifies
-sharpness by brute force.  The identified set is the polytope of joint
-cell probabilities ``q(s, a) = P(S=s, A*=a | l)`` over the 8 cells,
-cut by the linear equalities the observed blocks impose; any linear
-functional attains its extrema at vertices, which are enumerated exactly
-with rational arithmetic (every 64-bit float is a rational, so float
-inputs lose nothing).  Equality slack ``tol`` absorbs input-level noise;
-the upper endpoint of the fused interval is produced only by this oracle.
+:func:`fused_bounds` takes both endpoints from the fused constraint
+system itself.  Write ``O_ya = P(Y=y, A=a | l, R=0)`` and split
+``p = x + z`` with ``x = P(S=1, A*=1 | l)`` and ``z = P(S=1, A*=0 | l)``.
+The eight joint cells ``P(S=s, A*=a | l)`` then move with ``x`` or with
+``z`` alone, so the identified set is a rectangle bounded by lines
+
+    x >= {0, O10 + O11 - m0}      x <= {O11, O01 + O10 + O11 - m0}
+    z >= {0, m1 - O10 - O11}      z <= {O00, m1 - O11}
+
+(Tian & Pearl, 2000).  The right-hand sides are used as given (the
+observational block need not sum to exactly 1).  Slack ``tol`` absorbs
+input noise: a root ``c`` of one of a variable's lines counts when each
+of that variable's other lines holds at ``c`` within ``tol``, which for
+``tol >= 0`` is the window ``max(lower) - tol <= c <= min(upper) + tol``.
+The range of ``p`` is the sum of the counted extremes, and a window that
+counts nothing means the blocks are incompatible.  The arithmetic is
+exact: every input float, and ``tol``, is an integer at one power-of-two
+scale, and the final ``int / int`` rounds correctly.  The rational
+vertex-enumeration LP in :mod:`harmbounds.verify` computes the same range
+independently and serves as the oracle for both endpoints.
 
 The module also carries the regime machinery used by the brute-force
 verification sweeps: for any treatment rule ``g``, measurable in the
@@ -51,17 +63,11 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import IncompatibleLawsError
 from .identify import DEFAULT_TOL, att_atu, exp_potential_mean
 from .laws import STRATA, FullLaw, ObservedLaw, potential_outcome, validate_full_law
-
-#: Variable order for the joint-cell polytope: (stratum, intention).
-Q_CELLS = tuple((s, astar) for s in STRATA for astar in (0, 1))
 
 _SOURCES = ("experimental-only", "fused", "true-law")
 
@@ -156,187 +162,33 @@ def fused_lower_bound_s1(obs: ObservedLaw, l: str) -> float:
 
 
 def fused_bounds(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> StrataBounds:
-    """Sharp bounds from both blocks; the parameter range comes from the LP oracle."""
+    """Sharp bounds from both blocks: ``p = x + z`` over the two windows above."""
     p_y1 = exp_potential_mean(obs, 1, l)
     p_y0 = exp_potential_mean(obs, 0, l)
-    system = strata_system(obs, l, fuse=True)
-    lo, hi = sharp_bounds_lp(system, stratum_target(1), tol=tol)
-    return family_bounds(l, p_y1, p_y0, lo, hi, source="fused")
-
-
-# ---------------------------------------------------------------------------
-# Linear-constraint oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    """Equality constraints ``A q = b`` over the 8 joint cells, with ``q >= 0`` implicit.
-
-    Coefficients and right-hand sides are exact rationals.  ``row_labels``
-    name the constraints for error messages.
-    """
-
-    cells: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    row_labels: tuple[str, ...]
-
-
-def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> LinearConstraintSystem:
-    """Constraint system the observed blocks impose on the joint cells at level ``l``.
-
-    Always includes the two trial-margin equalities and normalization.
-    With ``fuse`` the four observational cells are added (normalization is
-    then implied and omitted).
-    """
-    p_y1 = exp_potential_mean(obs, 1, l)
-    p_y0 = exp_potential_mean(obs, 0, l)
-
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    labels: list[str] = []
-
-    def add(cells_in: set[tuple[int, int]], value: float, label: str) -> None:
-        rows.append(tuple(Fraction(1) if c in cells_in else Fraction(0) for c in Q_CELLS))
-        rhs.append(Fraction(value))
-        labels.append(label)
-
-    add({(s, a) for (s, a) in Q_CELLS if s in (1, 3)}, p_y1, "margin Y under a=1")
-    add({(s, a) for (s, a) in Q_CELLS if s in (2, 3)}, p_y0, "margin Y under a=0")
-    if fuse:
-        for y in (0, 1):
-            for a in (0, 1):
-                cells_in = {(s, aa) for (s, aa) in Q_CELLS
-                            if aa == a and potential_outcome(s, a) == y}
-                add(cells_in, obs.p_joint(y, a, l, 0), f"observational cell (Y={y}, A={a})")
-    else:
-        add(set(Q_CELLS), 1.0, "normalization")
-
-    return LinearConstraintSystem(cells=Q_CELLS, rows=tuple(rows), rhs=tuple(rhs),
-                                  row_labels=tuple(labels))
-
-
-def stratum_target(s: int) -> dict[tuple[int, int], float]:
-    """Linear functional selecting the marginal probability of stratum ``s``."""
-    if s not in STRATA:
-        raise ValueError(f"stratum must be in {STRATA}, got {s!r}")
-    return {(s, 0): 1.0, (s, 1): 1.0}
-
-
-def polytope_vertices(system: LinearConstraintSystem,
-                      tol: float = DEFAULT_TOL) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions of the system, in exact rationals.
-
-    ``tol`` is the slack for (i) dropping dependent rows whose right-hand
-    sides disagree by rounding, and (ii) accepting marginally negative
-    vertex coordinates; both only matter for noisy plug-in inputs.
-
-    The coefficient side of the elimination depends only on the constraint
-    structure, so the invertible bases and their inverses are cached
-    across calls; per call only the right-hand side is propagated.
-    """
-    ftol = Fraction(tol)
-    reduced_rows, reduced_rhs = _echelon(system, ftol)
-    rank = len(reduced_rows)
-    n = len(system.cells)
-    key = tuple(tuple(row) for row in reduced_rows)
-    vertices: list[tuple[Fraction, ...]] = []
-    for basis, inverse in _invertible_bases(key, n):
-        basic = [sum(inverse[i][k] * reduced_rhs[k] for k in range(rank))
-                 for i in range(rank)]
-        if any(x < -ftol for x in basic):
-            continue
-        full = [Fraction(0)] * n
-        for value, j in zip(basic, basis):
-            full[j] = value
-        vertices.append(tuple(full))
-    if not vertices:
+    cells = (obs.p_joint(y, a, l, 0) for y, a in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # Exact integers at the largest power-of-two denominator.
+    ratios = [v.as_integer_ratio() for v in (p_y1, p_y0, *cells, tol)]
+    scale = max(d for _, d in ratios)
+    m1, m0, o00, o01, o10, o11, t = (n * (scale // d) for n, d in ratios)
+    xs = _counted_roots((0, o10 + o11 - m0), (o11, o01 + o10 + o11 - m0), t)
+    zs = _counted_roots((0, m1 - o10 - o11), (o00, m1 - o11), t)
+    if not xs or not zs:
         raise IncompatibleLawsError("incompatible observed law: the constraint polytope is empty")
-    return vertices
+    return family_bounds(l, p_y1, p_y0, (min(xs) + min(zs)) / scale,
+                         (max(xs) + max(zs)) / scale, source="fused")
 
 
-def sharp_bounds_lp(system: LinearConstraintSystem,
-                    target: Mapping[tuple[int, int], float],
-                    tol: float = DEFAULT_TOL,
-                    vertices: list[tuple[Fraction, ...]] | None = None) -> tuple[float, float]:
-    """Exact min and max of ``target`` over the feasible polytope.
+def _counted_roots(lower: tuple[int, int], upper: tuple[int, int], tol: int) -> list[int]:
+    """Roots of a variable's bounding lines that every other line admits within ``tol``.
 
-    A linear functional attains its extrema at vertices, which are
-    enumerated in rational arithmetic; pass ``vertices`` (from
-    :func:`polytope_vertices`) to evaluate several targets on one
-    enumeration.
+    These are the variable's values at the vertices of the fused polytope.
+    A root is not checked against its own line, which matters only when
+    ``tol`` is negative.
     """
-    unknown = set(target) - set(system.cells)
-    if unknown:
-        raise ValueError(f"target references unknown cells: {sorted(unknown)}")
-    coef = tuple(Fraction(target.get(c, 0.0)) for c in system.cells)
-    if vertices is None:
-        vertices = polytope_vertices(system, tol)
-    values = [sum(c * x for c, x in zip(coef, v)) for v in vertices]
-    return float(min(values)), float(max(values))
-
-
-def _echelon(system: LinearConstraintSystem,
-             ftol: Fraction) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Forward elimination to an independent row set; raises on inconsistency.
-
-    Coefficient rows are exact, so rank decisions are exact; a row whose
-    coefficients vanish is dropped when its residual right-hand side is
-    within ``ftol`` and is an infeasibility certificate otherwise.
-    """
-    work = [list(row) + [b] for row, b in zip(system.rows, system.rhs)]
-    n = len(system.cells)
-    reduced: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for row_idx, row in enumerate(work):
-        for r, pc in zip(reduced, pivot_cols):
-            factor = row[pc]
-            if factor != 0:
-                for j in range(n + 1):
-                    row[j] -= factor * r[j]
-        pivot = next((j for j in range(n) if row[j] != 0), None)
-        if pivot is None:
-            if abs(row[n]) > ftol:
-                raise IncompatibleLawsError(
-                    f"incompatible observed law: constraint "
-                    f"{system.row_labels[row_idx]!r} is off by {float(row[n]):.3g}")
-            continue
-        inv = Fraction(1) / row[pivot]
-        reduced.append([v * inv for v in row])
-        pivot_cols.append(pivot)
-    return [r[:n] for r in reduced], [r[n] for r in reduced]
-
-
-@lru_cache(maxsize=128)
-def _invertible_bases(reduced_rows: tuple[tuple[Fraction, ...], ...],
-                      n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
-    """Every column basis of the reduced matrix with its exact inverse."""
-    rank = len(reduced_rows)
-    out = []
-    for basis in combinations(range(n), rank):
-        inverse = _invert([[reduced_rows[i][j] for j in basis] for i in range(rank)])
-        if inverse is not None:
-            out.append((basis, tuple(tuple(row) for row in inverse)))
-    return tuple(out)
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Gauss-Jordan inverse of a square rational matrix; None when singular."""
-    m = len(matrix)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(m)]
-            for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot_row = next((i for i in range(col, m) if work[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for i in range(m):
-            if i != col and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[col])]
-    return [row[m:] for row in work]
+    (lo0, lo1), (hi0, hi1) = lower, upper
+    top, bottom = max(lower) - tol, min(upper) + tol
+    return ([c for c, other in ((lo0, lo1), (lo1, lo0)) if other - tol <= c <= bottom]
+            + [c for c, other in ((hi0, hi1), (hi1, hi0)) if top <= c <= other + tol])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ request.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
@@ -317,6 +318,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return _USAGE_EXIT
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise UsageError(f"--tol must be finite and non-negative, got {args.tol!r}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,11 @@ received treatment outside the trial).  Inputs that jointly violate them
 surface as ratios outside ``[0, 1]`` and raise
 :class:`~harmbounds.errors.IncompatibleLawsError`; values within ``tol``
 of the boundary are clamped, since plug-in estimates never satisfy the
-model exactly.
+model exactly.  The solved-for mean divides a difference of
+probabilities by ``P(A=1-a | l, R=0)``, so its rounding error grows like
+``2**-50 / P(A=1-a | l, R=0)``; when that exceeds ``tol`` the group is
+refused with :class:`~harmbounds.errors.PositivityError` rather than
+answered imprecisely.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ def fused_potential_mean(obs: ObservedLaw, a: int, astar: int, l: str,
     if a == astar:
         # Intention equals assignment outside the trial, so this is direct.
         return obs.p_joint(1, a, l, 0) / p_group
+    # The difference below carries an absolute rounding error of a few
+    # units of 2**-52, which the division scales by 1 / p_group.
+    error = 2.0 ** -50 / p_group
+    if error > tol:
+        raise PositivityError(
+            f"cannot fuse within tol {tol:g}: intention group level {l!r}, A*={astar} has "
+            f"probability {p_group:.3g}, so rounding error may reach {error:.3g}")
     marginal = exp_potential_mean(obs, a, l)
     raw = (marginal - obs.p_joint(1, a, l, 0)) / p_group
     if raw < -tol or raw > 1.0 + tol:

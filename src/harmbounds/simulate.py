@@ -241,9 +241,14 @@ def parse_dataset_csv(text: str) -> Dataset:
             errors[i] = f"expected {width} fields, got {len(parts)}"
             continue
         try:
-            parsed[i] = (parts[1], [int(p) for j, p in enumerate(parts) if j != 1])
+            coded = [int(p) for j, p in enumerate(parts) if j != 1]
         except ValueError:
             errors[i] = "non-integer coded field"
+            continue
+        if not parts[1]:
+            errors[i] = "empty level label"
+            continue
+        parsed[i] = (parts[1], coded)
     if errors:
         first = int(np.flatnonzero(np.isin(rows, list(errors)))[0])
         raise FileFormatError(f"line {first + 2}: {errors[int(rows[first])]}")

@@ -10,19 +10,29 @@ sweeps are deterministic in their seed.
 exact product identity makes that claim false whenever the never-treat
 effect is negative, and the sweep reports one concrete instance, while
 verifying the clipped form that survives.
+
+``sharpness`` checks the closed forms of :mod:`harmbounds.bounds`, both
+endpoints of the fused interval included, against the exact rational
+vertex-enumeration LP defined here (:func:`sharp_bounds_lp`), which the
+package uses nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
-from .bounds import (Regime, exp_bounds, fused_lower_bound_s1, improvement_test,
-                     polytope_vertices, regime_lower_bound, sharp_bounds_lp,
-                     strata_system, stratum_target)
-from .identify import fused_potential_mean
-from .laws import STRATA, FullLaw, observed_from_full, stratum_margins
+from .bounds import (Regime, exp_bounds, fused_bounds, fused_lower_bound_s1,
+                     improvement_test, regime_lower_bound)
+from .errors import IncompatibleLawsError
+from .identify import DEFAULT_TOL, exp_potential_mean, fused_potential_mean
+from .laws import (STRATA, FullLaw, ObservedLaw, observed_from_full, potential_outcome,
+                   stratum_margins)
 from .simulate import random_law
 
 MAX_FAILURES = 5
@@ -164,6 +174,190 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
     return result
 
 
+# ---------------------------------------------------------------------------
+# Linear-constraint oracle.  The identified set is the polytope of joint
+# cell probabilities q(s, a) = P(S=s, A*=a | l) over the 8 cells, cut by the
+# linear equalities the observed blocks impose; a linear functional attains
+# its extrema at vertices, which are enumerated exactly in rational
+# arithmetic (every 64-bit float is a rational, so float inputs lose
+# nothing).  This shares no code with the closed forms in bounds.py.
+# ---------------------------------------------------------------------------
+
+#: Variable order for the joint-cell polytope: (stratum, intention).
+Q_CELLS = tuple((s, astar) for s in STRATA for astar in (0, 1))
+
+
+@dataclass(frozen=True)
+class LinearConstraintSystem:
+    """Equality constraints ``A q = b`` over the 8 joint cells, with ``q >= 0`` implicit.
+
+    Coefficients and right-hand sides are exact rationals.  ``row_labels``
+    name the constraints for error messages.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+    row_labels: tuple[str, ...]
+
+
+def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> LinearConstraintSystem:
+    """Constraint system the observed blocks impose on the joint cells at level ``l``.
+
+    Always includes the two trial-margin equalities and normalization.
+    With ``fuse`` the four observational cells are added (normalization is
+    then implied and omitted).
+    """
+    p_y1 = exp_potential_mean(obs, 1, l)
+    p_y0 = exp_potential_mean(obs, 0, l)
+
+    rows: list[tuple[Fraction, ...]] = []
+    rhs: list[Fraction] = []
+    labels: list[str] = []
+
+    def add(cells_in: set[tuple[int, int]], value: float, label: str) -> None:
+        rows.append(tuple(Fraction(1) if c in cells_in else Fraction(0) for c in Q_CELLS))
+        rhs.append(Fraction(value))
+        labels.append(label)
+
+    add({(s, a) for (s, a) in Q_CELLS if s in (1, 3)}, p_y1, "margin Y under a=1")
+    add({(s, a) for (s, a) in Q_CELLS if s in (2, 3)}, p_y0, "margin Y under a=0")
+    if fuse:
+        for y in (0, 1):
+            for a in (0, 1):
+                cells_in = {(s, aa) for (s, aa) in Q_CELLS
+                            if aa == a and potential_outcome(s, a) == y}
+                add(cells_in, obs.p_joint(y, a, l, 0), f"observational cell (Y={y}, A={a})")
+    else:
+        add(set(Q_CELLS), 1.0, "normalization")
+
+    return LinearConstraintSystem(cells=Q_CELLS, rows=tuple(rows), rhs=tuple(rhs),
+                                  row_labels=tuple(labels))
+
+
+def stratum_target(s: int) -> dict[tuple[int, int], float]:
+    """Linear functional selecting the marginal probability of stratum ``s``."""
+    if s not in STRATA:
+        raise ValueError(f"stratum must be in {STRATA}, got {s!r}")
+    return {(s, 0): 1.0, (s, 1): 1.0}
+
+
+def polytope_vertices(system: LinearConstraintSystem,
+                      tol: float = DEFAULT_TOL) -> list[tuple[Fraction, ...]]:
+    """All basic feasible solutions of the system, in exact rationals.
+
+    ``tol`` is the slack for (i) dropping dependent rows whose right-hand
+    sides disagree by rounding, and (ii) accepting marginally negative
+    vertex coordinates; both only matter for noisy plug-in inputs.
+
+    The coefficient side of the elimination depends only on the constraint
+    structure, so the invertible bases and their inverses are cached
+    across calls; per call only the right-hand side is propagated.
+    """
+    ftol = Fraction(tol)
+    reduced_rows, reduced_rhs = _echelon(system, ftol)
+    rank = len(reduced_rows)
+    n = len(system.cells)
+    key = tuple(tuple(row) for row in reduced_rows)
+    vertices: list[tuple[Fraction, ...]] = []
+    for basis, inverse in _invertible_bases(key, n):
+        basic = [sum(inverse[i][k] * reduced_rhs[k] for k in range(rank))
+                 for i in range(rank)]
+        if any(x < -ftol for x in basic):
+            continue
+        full = [Fraction(0)] * n
+        for value, j in zip(basic, basis):
+            full[j] = value
+        vertices.append(tuple(full))
+    if not vertices:
+        raise IncompatibleLawsError("incompatible observed law: the constraint polytope is empty")
+    return vertices
+
+
+def sharp_bounds_lp(system: LinearConstraintSystem,
+                    target: Mapping[tuple[int, int], float],
+                    tol: float = DEFAULT_TOL,
+                    vertices: list[tuple[Fraction, ...]] | None = None) -> tuple[float, float]:
+    """Exact min and max of ``target`` over the feasible polytope.
+
+    A linear functional attains its extrema at vertices, which are
+    enumerated in rational arithmetic; pass ``vertices`` (from
+    :func:`polytope_vertices`) to evaluate several targets on one
+    enumeration.
+    """
+    unknown = set(target) - set(system.cells)
+    if unknown:
+        raise ValueError(f"target references unknown cells: {sorted(unknown)}")
+    coef = tuple(Fraction(target.get(c, 0.0)) for c in system.cells)
+    if vertices is None:
+        vertices = polytope_vertices(system, tol)
+    values = [sum(c * x for c, x in zip(coef, v)) for v in vertices]
+    return float(min(values)), float(max(values))
+
+
+def _echelon(system: LinearConstraintSystem,
+             ftol: Fraction) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Forward elimination to an independent row set; raises on inconsistency.
+
+    Coefficient rows are exact, so rank decisions are exact; a row whose
+    coefficients vanish is dropped when its residual right-hand side is
+    within ``ftol`` and is an infeasibility certificate otherwise.
+    """
+    work = [list(row) + [b] for row, b in zip(system.rows, system.rhs)]
+    n = len(system.cells)
+    reduced: list[list[Fraction]] = []
+    pivot_cols: list[int] = []
+    for row_idx, row in enumerate(work):
+        for r, pc in zip(reduced, pivot_cols):
+            factor = row[pc]
+            if factor != 0:
+                for j in range(n + 1):
+                    row[j] -= factor * r[j]
+        pivot = next((j for j in range(n) if row[j] != 0), None)
+        if pivot is None:
+            if abs(row[n]) > ftol:
+                raise IncompatibleLawsError(
+                    f"incompatible observed law: constraint "
+                    f"{system.row_labels[row_idx]!r} is off by {float(row[n]):.3g}")
+            continue
+        inv = Fraction(1) / row[pivot]
+        reduced.append([v * inv for v in row])
+        pivot_cols.append(pivot)
+    return [r[:n] for r in reduced], [r[n] for r in reduced]
+
+
+@lru_cache(maxsize=128)
+def _invertible_bases(reduced_rows: tuple[tuple[Fraction, ...], ...],
+                      n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
+    """Every column basis of the reduced matrix with its exact inverse."""
+    rank = len(reduced_rows)
+    out = []
+    for basis in combinations(range(n), rank):
+        inverse = _invert([[reduced_rows[i][j] for j in basis] for i in range(rank)])
+        if inverse is not None:
+            out.append((basis, tuple(tuple(row) for row in inverse)))
+    return tuple(out)
+
+
+def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Gauss-Jordan inverse of a square rational matrix; None when singular."""
+    m = len(matrix)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(m)]
+            for i, row in enumerate(matrix)]
+    for col in range(m):
+        pivot_row = next((i for i in range(col, m) if work[i][col] != 0), None)
+        if pivot_row is None:
+            return None
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv = Fraction(1) / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for i in range(m):
+            if i != col and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [v - factor * w for v, w in zip(work[i], work[col])]
+    return [row[m:] for row in work]
+
+
 def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
     """LP oracle against the closed forms, plus redundancy of the mixture terms."""
     result = SweepResult("sharpness", trials, 0)
@@ -192,6 +386,11 @@ def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
             if abs(lp_lo - fused_lb) > tol:
                 ok, msg = False, (f"trial {i} level {l}: LP lower {lp_lo:.6g} vs "
                                   f"four-term {fused_lb:.6g}")
+                break
+            fused = fused_bounds(obs, l)
+            if abs(fused.p_lo - lp_lo) > tol or abs(fused.p_hi - lp_hi) > tol:
+                ok, msg = False, (f"trial {i} level {l}: fused [{fused.p_lo:.6g}, "
+                                  f"{fused.p_hi:.6g}] vs LP [{lp_lo:.6g}, {lp_hi:.6g}]")
                 break
 
             # The trial marginal is a convex combination of the arm means, so

@@ -16,10 +16,10 @@ from harmbounds import (Regime, STRATA, UtilitySpec, att_atu, excess_outcome,
                         gain_equality_diff, expected_cf_utility_diff,
                         harm_penalized_gamma, identified_means,
                         interventionist_policy, observed_from_full, policy_value,
-                        regime_lower_bound, sample_dataset, sharp_bounds_lp,
-                        strata_system, stratum_margins, stratum_target,
+                        regime_lower_bound, sample_dataset, stratum_margins,
                         survival_spec)
-from harmbounds.verify import sweep_excess, sweep_s3, sweep_s4, sweep_s5, sweep_sharpness
+from harmbounds.verify import (sharp_bounds_lp, strata_system, stratum_target,
+                               sweep_excess, sweep_s3, sweep_s4, sweep_s5, sweep_sharpness)
 
 from conftest import make_law_e1
 

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from harmbounds import (IncompatibleLawsError, Regime, STRATA, exp_bounds,
                         exp_potential_mean, fused_bounds, fused_lower_bound_s1,
-                        improvement_test, observed_from_full, polytope_vertices,
-                        random_law, regime_lower_bound, regime_value,
-                        sharp_bounds_lp, strata_system, stratum_margins,
-                        stratum_target)
+                        improvement_test, observed_from_full, random_law,
+                        regime_lower_bound, regime_value, stratum_margins)
+from harmbounds.bounds import family_bounds
+from harmbounds.verify import (polytope_vertices, sharp_bounds_lp, strata_system,
+                               stratum_target)
 
 
 class TestExpBounds:
@@ -73,6 +75,58 @@ class TestFusedLowerBound:
             law_e1, p_strata={(l, a): (1.0, 0.0, 0.0, 0.0)
                               for l in law_e1.levels for a in (0, 1)})
         assert fused_lower_bound_s1(observed_from_full(law), "l0") == pytest.approx(1.0)
+
+
+def _oracle_bounds(obs, l, tol):
+    """What ``fused_bounds`` returns, with the parameter range from the LP oracle."""
+    p_y1 = exp_potential_mean(obs, 1, l)
+    p_y0 = exp_potential_mean(obs, 0, l)
+    lo, hi = sharp_bounds_lp(strata_system(obs, l, fuse=True), stratum_target(1), tol=tol)
+    return family_bounds(l, p_y1, p_y0, lo, hi, source="fused")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IncompatibleLawsError as exc:
+        return str(exc)
+
+
+@st.composite
+def fused_cases(draw):
+    """An observed law, whether it is the exact push-forward of a full law, and a ``tol``.
+
+    Interior laws come from ``random_law``.  Zero-cell laws put two exact
+    zeros in every stratum block, with dyadic weights and ``P(A*=1|l)`` so
+    that the push-forward is exact.  Perturbed laws add noise to each
+    observational block of an interior law, so many are incompatible.
+    """
+    n_levels = draw(st.integers(1, 3))
+    law = random_law(draw(st.integers(0, 2**32 - 1)), n_levels=n_levels)
+    kind = draw(st.sampled_from(["interior", "zero-cell", "perturbed"]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.02, 0.2]))
+    if kind == "zero-cell":
+        blocks = {}
+        for key in law.p_strata:
+            first, second = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+            k = draw(st.integers(1, 63))
+            block = [0.0] * 4
+            block[first], block[second] = k / 64, (64 - k) / 64
+            blocks[key] = tuple(block)
+        law = dataclasses.replace(
+            law, p_strata=blocks,
+            p_astar={l: draw(st.integers(13, 51)) / 64 for l in law.levels})
+    obs = observed_from_full(law)
+    if kind != "perturbed":
+        return obs, True, tol
+    p_ya = dict(obs.p_ya)
+    for l in obs.levels:
+        block = {cell: max(0.0, p + draw(st.floats(-0.4, 0.4)))
+                 for cell, p in obs.p_ya[(l, 0)].items()}
+        total = sum(block.values())
+        assume(total > 0.0)
+        p_ya[(l, 0)] = {cell: p / total for cell, p in block.items()}
+    return dataclasses.replace(obs, p_ya=p_ya), False, tol
 
 
 class TestSharpBoundsLP:
@@ -148,6 +202,31 @@ class TestSharpBoundsLP:
         retained = fused_lower_bound_s1(obs, "l0")
         assert trial_marginal - p_y0 <= retained + 1e-9
         assert p_y1 - trial_marginal <= retained + 1e-9
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=fused_cases())
+    def test_fused_bounds_equal_the_oracle(self, case):
+        obs, exact, tol = case
+        for l in obs.levels:
+            got, want = _outcome(fused_bounds, obs, l, tol), _outcome(_oracle_bounds, obs, l, tol)
+            assert got == want
+            if not exact:
+                continue
+            closed = exp_bounds(obs, l)
+            system = strata_system(obs, l, fuse=False)
+            vertices = polytope_vertices(system)
+            for s in STRATA:
+                lo, hi = sharp_bounds_lp(system, stratum_target(s), vertices=vertices)
+                assert (lo, hi) == pytest.approx(closed.interval(s), abs=1e-9)
+            retained = fused_lower_bound_s1(obs, l)
+            fused_lo, _ = sharp_bounds_lp(strata_system(obs, l, fuse=True), stratum_target(1))
+            assert fused_lo == pytest.approx(retained, abs=1e-9)
+            # the mixture terms built from the trial marginal never sharpen the bound
+            p_y1 = exp_potential_mean(obs, 1, l)
+            p_y0 = exp_potential_mean(obs, 0, l)
+            trial_marginal = obs.p_y(l, 1)
+            assert trial_marginal - p_y0 <= retained + 1e-9
+            assert p_y1 - trial_marginal <= retained + 1e-9
 
 
 class TestRegimes:

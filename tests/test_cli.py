@@ -94,6 +94,12 @@ class TestExitCodes:
         assert code == 2
         assert "column R contains values outside (0, 1)" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-0.5"])
+    def test_tol_must_be_finite_and_non_negative(self, e1_law_path, tol):
+        code, out, err = run("bounds", "--law", e1_law_path, "--fuse", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --tol must be finite and non-negative")
+
     def test_positivity_is_identification_failure(self, tmp_path, e1_law_path):
         text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.5 0.0")
         path = tmp_path / "degenerate.law"

@@ -4,7 +4,8 @@ import pytest
 
 from harmbounds import (IncompatibleLawsError, PositivityError, att_atu,
                         exp_potential_mean, fused_potential_mean,
-                        identified_means, observed_from_full, random_law)
+                        identified_means, observed_from_full, parse_law_text,
+                        random_law)
 
 
 class TestExperimentalMeans:
@@ -49,6 +50,23 @@ class TestFusedMeans:
         obs = observed_from_full(all_intend)
         with pytest.raises(PositivityError, match="intention group"):
             fused_potential_mean(obs, 1, 0, "l0")
+
+    @pytest.mark.parametrize("p_astar", [1e-12, 1e-300])
+    def test_near_empty_intention_group_is_refused(self, p_astar):
+        # E[Y^0 | A*=1] is 0.5 here; the solved-for ratio printed 0.499989
+        # at P(A*=1) = 1e-12 and 0 at 1e-300 before the group was refused
+        law = parse_law_text("L l0 1\nTRIAL l0 0.5 0.5\n"
+                             f"ASTAR l0 {p_astar!r}\n"
+                             "S l0 1 0 0.5 0 0.5\nS l0 0 0.25 0.25 0.25 0.25\n")
+        obs = observed_from_full(law)
+        message = r"within tol 1e-09: intention group level 'l0', A\*=1"
+        with pytest.raises(PositivityError, match=message):
+            fused_potential_mean(obs, 0, 1, "l0")
+        with pytest.raises(PositivityError, match=r"A\*=1"):
+            identified_means(obs, fuse=True)
+        # the direct arm and the large group are unaffected
+        assert fused_potential_mean(obs, 1, 1, "l0") == pytest.approx(0.0, abs=1e-12)
+        assert fused_potential_mean(obs, 1, 0, "l0") == pytest.approx(0.5, abs=1e-12)
 
     def test_incompatible_blocks_raise(self, obs_e1):
         # trial arm mean below the observational joint mass it must dominate

@@ -228,6 +228,10 @@ class TestCsv:
         ("R,L,A,Y\n0,l0,0,0\n0,l0,0\n0,l0,x,0\n0,l0,0\n", "line 3: expected 4 fields, got 3"),
         ("# seed\nR,L,A,Y\n\n# note\n0,l0,0,0\n   \n0,l0,0\n", "line 3: expected 4 fields"),
         ("R,L,A,Y\n0,l0,0,0\nR,L,A,Y\n", "line 3: non-integer"),
+        # no law file can declare an empty level; a non-integer field is reported first
+        ("R,L,A,Y\n0,l0,0,0\n1,,1,0\n", "line 3: empty level label"),
+        ("R,L,A,Y\n0,l0,0,0\n1, \t ,1,0\n", "line 3: empty level label"),
+        ("R,L,A,Y\n1,,x,0\n", "line 2: non-integer"),
         # a field-count or non-integer error beats a range error on an earlier line
         ("R,L,A,Y\n2,l0,0,0\n0,l0,0,x\n", "line 3: non-integer"),
         ("R,L,A,Y\n2,l0,0,0\n0,l0,0,0,0\n", "line 3: expected 4 fields, got 5"),
