@@ -8,7 +8,7 @@ arguments, seeds and input files.
 
 Exit codes: 0 success, 1 usage error (or failed verification sweep),
 2 validation or file-format error, 3 identification impossible for the
-request.
+request.  Any other exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from .identify import identified_means
 from .laws import STRATA, observed_from_full, read_law_file
 from .simulate import estimate_observed_law, format_dataset_csv, read_dataset_file, sample_dataset
 from .utility import UtilitySpec, read_utility_file
-from .verify import PROPS, run_sweeps
+from .verify import PROPS
 
 _USAGE_EXIT = 1
 _FORMAT_EXIT = 2
 _IDENT_EXIT = 3
 
 _FORMAT_ERRORS = (FileFormatError, LawValidationError, GammaMissingError,
-                  GainEqualityError, PartialPolicyError, ValueError, OSError)
+                  GainEqualityError, PartialPolicyError, UnicodeDecodeError, OSError)
 _IDENT_ERRORS = (PositivityError, IncompatibleLawsError, NotPointIdentifiedError)
 
 
@@ -286,11 +286,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    props = args.props.split(",") if getattr(args, "props", None) else list(PROPS)
-    try:
-        results = run_sweeps([p.strip() for p in props], args.trials, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    props = [p.strip() for p in args.props.split(",")] if args.props else list(PROPS)
+    unknown = [p for p in props if p not in PROPS]
+    if unknown:
+        raise UsageError(f"unknown properties: {', '.join(unknown)} "
+                         f"(available: {', '.join(PROPS)})")
+    results = [PROPS[p](args.trials, args.seed) for p in props]
     lines = []
     all_ok = True
     for r in results:
@@ -307,6 +308,17 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _check_numeric_options(args) -> None:
+    for name in ("tol", "smoothing"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise UsageError(f"--{name} must be finite and non-negative, got {value!r}")
+    for name, least in (("n", 1), ("trials", 1), ("seed", 0)):
+        value = getattr(args, name)
+        if value < least:
+            raise UsageError(f"--{name} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -318,8 +330,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return _USAGE_EXIT
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise UsageError(f"--tol must be finite and non-negative, got {args.tol!r}")
+        _check_numeric_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ the endpoints.  Four criteria resolve the remaining ambiguity:
 * ``cf-minimax-regret``: worst-case regret of treating is ``max(0, -d_lo)``
   and of withholding is ``max(0, d_hi)``; treats iff ``d_hi > -d_lo``.
 * ``cf-maximin``: treats iff the worst-case gain ``d_lo`` is positive.
-* ``cf-bayes``: treats iff the gain averaged over a prior on ``p`` is
-  positive; the default prior is uniform on the feasible range, and a
-  caller-supplied density is normalized over that range.
+* ``cf-bayes``: treats iff the gain averaged over a uniform prior on
+  ``p`` over the feasible range is positive; the gain is affine in ``p``,
+  so that average is the gain at the midpoint of the range.
 
 Every tie breaks to withholding (action 0) and is flagged in the report.
 Decisions are invariant to positive affine rescaling of the stratum table,
@@ -30,9 +30,7 @@ since ``delta`` only scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .bounds import StrataBounds, true_bounds
 from .errors import NotPointIdentifiedError, PartialPolicyError
@@ -44,9 +42,6 @@ CRITERIA = ("interventionist", "cf-point", "cf-minimax-regret", "cf-maximin", "c
 
 #: Comparisons within this slack count as ties (and break to action 0).
 TIE_TOL = 1e-12
-
-#: Grid size for integrating a caller-supplied prior density.
-_PRIOR_GRID = 2049
 
 
 @dataclass(frozen=True)
@@ -134,38 +129,19 @@ def interventionist_policy(means: IdentifiedMeans, spec: UtilitySpec,
 # Stratum-level choice
 # ---------------------------------------------------------------------------
 
+def _gain_at(bounds: StrataBounds, spec: UtilitySpec, p: float) -> float:
+    """Treatment gain of the family member with ``P(S=1|l) = p``."""
+    return sum(di * pi for di, pi in zip(spec.delta, bounds.family(p)))
+
+
 def gain_interval(bounds: StrataBounds, spec: UtilitySpec) -> tuple[float, float]:
     """Range of the treatment gain over the identified family."""
-    d = spec.delta
-    at_lo = sum(di * pi for di, pi in zip(d, bounds.family(bounds.p_lo)))
-    at_hi = sum(di * pi for di, pi in zip(d, bounds.family(bounds.p_hi)))
+    at_lo = _gain_at(bounds, spec, bounds.p_lo)
+    at_hi = _gain_at(bounds, spec, bounds.p_hi)
     return min(at_lo, at_hi), max(at_lo, at_hi)
 
 
-def _bayes_gain(bounds: StrataBounds, spec: UtilitySpec,
-                prior: Callable[[float], float] | None) -> float:
-    d_lo, d_hi = gain_interval(bounds, spec)
-    if bounds.p_hi - bounds.p_lo <= TIE_TOL:
-        return d_lo
-    if prior is None:
-        # Uniform prior; the gain is affine in p, so the average sits at the midpoint.
-        d = spec.delta
-        mid = 0.5 * (bounds.p_lo + bounds.p_hi)
-        return sum(di * pi for di, pi in zip(d, bounds.family(mid)))
-    grid = np.linspace(bounds.p_lo, bounds.p_hi, _PRIOR_GRID)
-    weights = np.array([prior(p) for p in grid], dtype=float)
-    if np.any(weights < 0.0):
-        raise ValueError("prior density returned a negative value")
-    mass = np.trapezoid(weights, grid)
-    if mass <= 0.0:
-        raise ValueError("prior density has zero mass on the feasible range")
-    d = spec.delta
-    gains = np.array([sum(di * pi for di, pi in zip(d, bounds.family(p))) for p in grid])
-    return float(np.trapezoid(weights * gains, grid) / mass)
-
-
-def counterfactual_cell(bounds: StrataBounds, spec: UtilitySpec, criterion: str,
-                        prior: Callable[[float], float] | None = None) -> DecisionCell:
+def counterfactual_cell(bounds: StrataBounds, spec: UtilitySpec, criterion: str) -> DecisionCell:
     """Decide one level from its stratum bounds under the given criterion."""
     d_lo, d_hi = gain_interval(bounds, spec)
     values: dict[str, float] = {"gain_lo": d_lo, "gain_hi": d_hi}
@@ -188,7 +164,11 @@ def counterfactual_cell(bounds: StrataBounds, spec: UtilitySpec, criterion: str,
         tie = abs(d_lo) <= TIE_TOL
         action = 1 if d_lo > TIE_TOL else 0
     elif criterion == "cf-bayes":
-        avg = _bayes_gain(bounds, spec, prior)
+        # the mean of the affine gain under a uniform prior on p
+        if bounds.p_hi - bounds.p_lo <= TIE_TOL:
+            avg = d_lo
+        else:
+            avg = _gain_at(bounds, spec, 0.5 * (bounds.p_lo + bounds.p_hi))
         values["gain_mean"] = avg
         tie = abs(avg) <= TIE_TOL
         action = 1 if avg > TIE_TOL else 0
@@ -200,19 +180,16 @@ def counterfactual_cell(bounds: StrataBounds, spec: UtilitySpec, criterion: str,
 
 
 def counterfactual_report(bounds: StrataBounds | Mapping[str, StrataBounds],
-                          spec: UtilitySpec, criterion: str,
-                          prior: Callable[[float], float] | None = None) -> DecisionReport:
+                          spec: UtilitySpec, criterion: str) -> DecisionReport:
     if isinstance(bounds, StrataBounds):
         bounds = {bounds.level: bounds}
-    cells = tuple(counterfactual_cell(bounds[l], spec, criterion, prior)
-                  for l in sorted(bounds))
+    cells = tuple(counterfactual_cell(bounds[l], spec, criterion) for l in sorted(bounds))
     return DecisionReport(criterion=criterion, cells=cells)
 
 
 def counterfactual_policy(bounds: StrataBounds | Mapping[str, StrataBounds],
-                          spec: UtilitySpec, criterion: str,
-                          prior: Callable[[float], float] | None = None) -> Policy:
-    report = counterfactual_report(bounds, spec, criterion, prior)
+                          spec: UtilitySpec, criterion: str) -> Policy:
+    report = counterfactual_report(bounds, spec, criterion)
     if isinstance(bounds, StrataBounds):
         sources = {bounds.source}
     else:

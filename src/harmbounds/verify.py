@@ -1,9 +1,11 @@
 """Brute-force verification sweeps over random laws.
 
-Each sweep draws random full laws (and where needed random regimes),
-checks a claimed identity or inequality against direct enumeration, and
-reports pass counts plus a bounded list of failure descriptions.  The
-sweeps are deterministic in their seed.
+One trial driver (:func:`_sweep`) draws a random full law per trial and
+counts passes, keeping at most ``MAX_FAILURES`` failure descriptions.
+Each sweep supplies a per-trial check that tests a claimed identity or
+inequality against direct enumeration (drawing random regimes where
+needed) and returns a failure message or ``None``.  The sweeps are
+deterministic in their seed.
 
 ``s4`` additionally hunts for a counterexample to the *unclipped* claim
 "the never-treat effect dominates every noise-only regime effect": the
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,19 +53,22 @@ class SweepResult:
         return self.passes == self.trials
 
 
-def _law_seeds(seed: int, trials: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 2**63, size=trials)
+def _sweep(name: str, trials: int, seed: int,
+           check: Callable[[int, FullLaw], str | None]) -> SweepResult:
+    """Run ``check(i, law)`` on a fresh random law per trial.
 
-
-def _law_for_trial(i: int, law_seed: int, confounding: bool = True) -> FullLaw:
-    return random_law(int(law_seed), n_levels=1 + i % 3, confounding=confounding)
-
-
-def _record(result: SweepResult, ok: bool, message: str) -> None:
-    if ok:
-        result.passes += 1
-    elif len(result.failures) < MAX_FAILURES:
-        result.failures.append(message)
+    ``check`` returns a failure message or ``None``; the law of trial ``i``
+    has ``1 + i % 3`` levels and a seed drawn from ``seed``.
+    """
+    result = SweepResult(name, trials, 0)
+    law_seeds = np.random.default_rng(seed).integers(0, 2**63, size=trials)
+    for i in range(trials):
+        failure = check(i, random_law(int(law_seeds[i]), n_levels=1 + i % 3))
+        if failure is None:
+            result.passes += 1
+        elif len(result.failures) < MAX_FAILURES:
+            result.failures.append(failure)
+    return result
 
 
 def _random_regime(law: FullLaw, rng: np.random.Generator) -> Regime:
@@ -84,14 +89,10 @@ def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> SweepResult:
     Also cross-checks the enumeration against the mass-accounting identity
     ``effect = P(S=1) - (P(S=1, treated) + P(S=2, untreated))``.
     """
-    result = SweepResult("s3", trials, 0)
-    seeds = _law_seeds(seed, trials)
     rng = np.random.default_rng(seed + 1)
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i])
+
+    def check(i: int, law: FullLaw) -> str | None:
         p_harm = law.marginal_stratum_prob(1)
-        ok = True
-        msg = ""
         for _ in range(regimes_per_law):
             regime = _random_regime(law, rng)
             tau_g = regime_lower_bound(law, regime)
@@ -104,38 +105,36 @@ def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> SweepResult:
                     g2 = regime.treat_prob(l, astar, 2)
                     matched += law.p_level[l] * w_a * (block[0] * g1 + block[1] * (1.0 - g2))
             if tau_g > p_harm + 1e-12:
-                ok, msg = False, f"trial {i}: effect {tau_g:.3g} exceeds P(S=1) {p_harm:.3g}"
-                break
+                return f"trial {i}: effect {tau_g:.3g} exceeds P(S=1) {p_harm:.3g}"
             if abs(tau_g - (p_harm - matched)) > 1e-12:
-                ok, msg = False, f"trial {i}: mass accounting off by {tau_g - (p_harm - matched):.3g}"
-                break
-        _record(result, ok, msg)
-    return result
+                return f"trial {i}: mass accounting off by {tau_g - (p_harm - matched):.3g}"
+        return None
+
+    return _sweep("s3", trials, seed, check)
 
 
 def sweep_s4(trials: int, seed: int) -> SweepResult:
     """Noise-only regimes: exact product identity and the clipped dominance."""
-    result = SweepResult("s4", trials, 0)
-    seeds = _law_seeds(seed, trials)
     rng = np.random.default_rng(seed + 1)
     counterexample: str | None = None
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i])
+
+    def check(i: int, law: FullLaw) -> str | None:
+        nonlocal counterexample
         tau0 = law.marginal_potential_mean(1) - law.marginal_potential_mean(0)
         q = float(rng.uniform(0.0, 1.0))
         tau_g = regime_lower_bound(law, Regime.noise(q))
-        identity_ok = abs(tau_g - tau0 * (1.0 - q)) <= 1e-12
-        clipped_ok = max(0.0, tau0) >= max(0.0, tau_g) - 1e-12
-        _record(result, identity_ok and clipped_ok,
-                f"trial {i}: tau_g={tau_g:.6g} tau0={tau0:.6g} q={q:.3g}")
         if counterexample is None and tau0 < -1e-6 and q > 1e-6:
             # tau_g = tau0 (1 - q) > tau0 here, so the unclipped claim fails.
             counterexample = (f"unclipped dominance fails at trial {i}: "
                               f"tau0={tau0:.6f} < tau_g={tau_g:.6f} (noise q={q:.3f})")
-    if counterexample is not None:
-        result.notes.append(counterexample)
-    else:
-        result.notes.append("no unclipped counterexample arose (no negative-effect law drawn)")
+        if (abs(tau_g - tau0 * (1.0 - q)) <= 1e-12
+                and max(0.0, tau0) >= max(0.0, tau_g) - 1e-12):
+            return None
+        return f"trial {i}: tau_g={tau_g:.6g} tau0={tau0:.6g} q={q:.3g}"
+
+    result = _sweep("s4", trials, seed, check)
+    result.notes.append(counterexample or
+                        "no unclipped counterexample arose (no negative-effect law drawn)")
     return result
 
 
@@ -148,14 +147,11 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
     rounding.  Effects within ``tol`` of zero are genuine sign ties and
     are skipped.
     """
-    result = SweepResult("s5", trials, 0)
-    seeds = _law_seeds(seed, trials)
     skipped = 0
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i], confounding=True)
+
+    def check(i: int, law: FullLaw) -> str | None:
+        nonlocal skipped
         obs = observed_from_full(law)
-        ok = True
-        msg = ""
         for l in law.levels:
             test = improvement_test(obs, l, tol)
             _, _, tau0 = stratum_margins(law, l)
@@ -164,11 +160,10 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
                 skipped += 1
                 continue
             if test.improves != (gain > 1e-12):
-                ok = False
-                msg = (f"trial {i} level {l}: improves={test.improves} "
-                       f"but bound gain={gain:.3g}")
-                break
-        _record(result, ok, msg)
+                return f"trial {i} level {l}: improves={test.improves} but bound gain={gain:.3g}"
+        return None
+
+    result = _sweep("s5", trials, seed, check)
     if skipped:
         result.notes.append(f"{skipped} level(s) skipped as sign ties within {tol:g}")
     return result
@@ -360,13 +355,9 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
 
 def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
     """LP oracle against the closed forms, plus redundancy of the mixture terms."""
-    result = SweepResult("sharpness", trials, 0)
-    seeds = _law_seeds(seed, trials)
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i])
+
+    def check(i: int, law: FullLaw) -> str | None:
         obs = observed_from_full(law)
-        ok = True
-        msg = ""
         for l in law.levels:
             closed = exp_bounds(obs, l)
             exp_system = strata_system(obs, l, fuse=False)
@@ -375,56 +366,42 @@ def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
                 lo, hi = sharp_bounds_lp(exp_system, stratum_target(s), vertices=exp_vertices)
                 clo, chi = closed.interval(s)
                 if abs(lo - clo) > tol or abs(hi - chi) > tol:
-                    ok, msg = False, (f"trial {i} level {l}: LP [{lo:.6g}, {hi:.6g}] vs "
-                                      f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
-                    break
-            if not ok:
-                break
+                    return (f"trial {i} level {l}: LP [{lo:.6g}, {hi:.6g}] vs "
+                            f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
 
             fused_lb = fused_lower_bound_s1(obs, l)
             lp_lo, lp_hi = sharp_bounds_lp(strata_system(obs, l, fuse=True), stratum_target(1))
             if abs(lp_lo - fused_lb) > tol:
-                ok, msg = False, (f"trial {i} level {l}: LP lower {lp_lo:.6g} vs "
-                                  f"four-term {fused_lb:.6g}")
-                break
+                return f"trial {i} level {l}: LP lower {lp_lo:.6g} vs four-term {fused_lb:.6g}"
             fused = fused_bounds(obs, l)
             if abs(fused.p_lo - lp_lo) > tol or abs(fused.p_hi - lp_hi) > tol:
-                ok, msg = False, (f"trial {i} level {l}: fused [{fused.p_lo:.6g}, "
-                                  f"{fused.p_hi:.6g}] vs LP [{lp_lo:.6g}, {lp_hi:.6g}]")
-                break
+                return (f"trial {i} level {l}: fused [{fused.p_lo:.6g}, "
+                        f"{fused.p_hi:.6g}] vs LP [{lp_lo:.6g}, {lp_hi:.6g}]")
 
             # The trial marginal is a convex combination of the arm means, so
             # differences built from it cannot beat the retained terms.
             trial_marginal = obs.p_y(l, 1)
             redundant = max(trial_marginal - closed.p_y0, closed.p_y1 - trial_marginal)
             if redundant > fused_lb + tol:
-                ok, msg = False, f"trial {i} level {l}: redundant term {redundant:.6g} sharpens"
-                break
+                return f"trial {i} level {l}: redundant term {redundant:.6g} sharpens"
 
             truth = law.strata_marginal(l)
             if not (lp_lo - tol <= truth[0] <= lp_hi + tol):
-                ok, msg = False, f"trial {i} level {l}: truth {truth[0]:.6g} escapes LP interval"
-                break
+                return f"trial {i} level {l}: truth {truth[0]:.6g} escapes LP interval"
             for s in STRATA:
                 clo, chi = closed.interval(s)
                 if not (clo - tol <= truth[s - 1] <= chi + tol):
-                    ok, msg = False, f"trial {i} level {l}: truth escapes stratum {s} interval"
-                    break
-            if not ok:
-                break
-        _record(result, ok, msg)
-    return result
+                    return f"trial {i} level {l}: truth escapes stratum {s} interval"
+        return None
+
+    return _sweep("sharpness", trials, seed, check)
 
 
 def sweep_fusion(trials: int, seed: int, tol: float = 1e-12) -> SweepResult:
     """Fused means recover the direct conditional means of the generating law."""
-    result = SweepResult("fusion", trials, 0)
-    seeds = _law_seeds(seed, trials)
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i])
+
+    def check(i: int, law: FullLaw) -> str | None:
         obs = observed_from_full(law)
-        ok = True
-        msg = ""
         for l in law.levels:
             p_astar = law.p_astar[l]
             for a in (0, 1):
@@ -433,20 +410,15 @@ def sweep_fusion(trials: int, seed: int, tol: float = 1e-12) -> SweepResult:
                     ident = fused_potential_mean(obs, a, astar, l)
                     direct = law.potential_mean_given_astar(a, astar, l)
                     if abs(ident - direct) > tol:
-                        ok, msg = False, (f"trial {i} level {l}: fused mean {ident:.9g} vs "
-                                          f"direct {direct:.9g} (a={a}, astar={astar})")
-                        break
+                        return (f"trial {i} level {l}: fused mean {ident:.9g} vs "
+                                f"direct {direct:.9g} (a={a}, astar={astar})")
                     mix += ident * (p_astar if astar == 1 else 1.0 - p_astar)
-                if not ok:
-                    break
                 marginal = obs.p_y_given_a(a, l, 1)
                 if abs(mix - marginal) > tol:
-                    ok, msg = False, f"trial {i} level {l}: mixture {mix:.9g} vs {marginal:.9g}"
-                    break
-            if not ok:
-                break
-        _record(result, ok, msg)
-    return result
+                    return f"trial {i} level {l}: mixture {mix:.9g} vs {marginal:.9g}"
+        return None
+
+    return _sweep("fusion", trials, seed, check)
 
 
 def sweep_excess(trials: int, seed: int) -> SweepResult:
@@ -459,23 +431,23 @@ def sweep_excess(trials: int, seed: int) -> SweepResult:
     from .decide import excess_outcome
     from .utility import UtilitySpec, harm_penalized_gamma, survival_spec
 
-    result = SweepResult("excess", trials, 0)
-    seeds = _law_seeds(seed, trials)
     rng = np.random.default_rng(seed + 1)
     strict = 0
-    for i in range(trials):
-        law = _law_for_trial(i, seeds[i])
+
+    def check(i: int, law: FullLaw) -> str | None:
+        nonlocal strict
         base = survival_spec()
         penalty = float(rng.uniform(0.5, 5.0))
         scale = float(rng.uniform(0.5, 3.0))
         shift = float(rng.uniform(-2.0, 2.0))
         gamma = {k: scale * v + shift
                  for k, v in harm_penalized_gamma(base.mu, penalty).items()}
-        cf_spec = UtilitySpec(mu=base.mu, gamma=gamma)
-        excess = excess_outcome(law, cf_spec, base)
-        _record(result, excess >= -1e-12, f"trial {i}: excess {excess:.6g} negative")
+        excess = excess_outcome(law, UtilitySpec(mu=base.mu, gamma=gamma), base)
         if excess > 1e-9:
             strict += 1
+        return None if excess >= -1e-12 else f"trial {i}: excess {excess:.6g} negative"
+
+    result = _sweep("excess", trials, seed, check)
     result.notes.append(f"strictly positive excess on {strict}/{trials} laws "
                         f"({100.0 * strict / trials:.1f}%)")
     return result
@@ -490,10 +462,3 @@ PROPS = {
     "excess": sweep_excess,
 }
 
-
-def run_sweeps(props: list[str], trials: int, seed: int) -> list[SweepResult]:
-    unknown = [p for p in props if p not in PROPS]
-    if unknown:
-        raise ValueError(f"unknown properties: {', '.join(unknown)} "
-                         f"(available: {', '.join(PROPS)})")
-    return [PROPS[p](trials, seed) for p in props]

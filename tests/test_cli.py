@@ -4,6 +4,7 @@ import io
 import pytest
 
 from harmbounds.cli import main
+from harmbounds.verify import PROPS
 
 
 def run(*args):
@@ -99,6 +100,32 @@ class TestExitCodes:
         code, out, err = run("bounds", "--law", e1_law_path, "--fuse", f"--tol={tol}")
         assert code == 1 and out == ""
         assert err.startswith("usage error: --tol must be finite and non-negative")
+
+    @pytest.mark.parametrize("argv, message", [
+        *[pytest.param(["bounds", f"--smoothing={s}"],
+                       "--smoothing must be finite and non-negative", id=f"smoothing={s}")
+          for s in ("-1", "inf", "nan")],
+        pytest.param(["simulate", "--n", "0"], "--n must be at least 1", id="n=0"),
+        pytest.param(["simulate", "--seed", "-1"], "--seed must be at least 0",
+                     id="simulate-seed=-1"),
+        pytest.param(["verify", "--seed", "-1"], "--seed must be at least 0",
+                     id="verify-seed=-1"),
+        pytest.param(["verify", "--props", "excess", "--trials", "0"],
+                     "--trials must be at least 1", id="trials=0"),
+        pytest.param(["verify", "--trials", "-5"], "--trials must be at least 1",
+                     id="trials=-5"),
+    ])
+    def test_numeric_options_are_range_checked(self, e1_law_path, argv, message):
+        code, out, err = run(*argv, "--law", e1_law_path)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: {message}")
+
+    def test_non_utf8_law_file_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.law"
+        path.write_bytes("L caf\xe9 1.0\n".encode("latin-1"))
+        code, out, err = run("bounds", "--law", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode")
 
     def test_positivity_is_identification_failure(self, tmp_path, e1_law_path):
         text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.5 0.0")
@@ -280,6 +307,14 @@ class TestVerify:
         code, _, err = run("verify", "--props", "s9")
         assert code == 1
         assert "unknown properties" in err
+
+    def test_fault_inside_a_sweep_is_not_a_usage_error(self, monkeypatch):
+        def broken(trials, seed):
+            raise ValueError("internal fault")
+
+        monkeypatch.setitem(PROPS, "s3", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run("verify", "--props", "s3", "--trials", "5")
 
     def test_console_entry_point(self):
         import subprocess

@@ -97,21 +97,6 @@ class TestCounterfactualPolicy:
         assert cell.values["gain_mean"] == pytest.approx(0.1, abs=1e-9)
         assert cell.action == 1
 
-    def test_bayes_custom_prior_flips_decision(self, obs_e1):
-        spec = spec_from_delta(-4.0, 1.0, 0.0, 1.0)
-        b = exp_bounds(obs_e1, "l0")
-        mass_near_top = lambda p: np.exp(80.0 * (p - b.p_hi))
-        policy = counterfactual_policy(b, spec, "cf-bayes", prior=mass_near_top)
-        assert policy.assignments[("l0",)] == 0
-
-    def test_bayes_rejects_bad_prior(self, obs_e1):
-        spec = spec_from_delta(-4.0, 1.0, 0.0, 1.0)
-        b = exp_bounds(obs_e1, "l0")
-        with pytest.raises(ValueError, match="negative"):
-            counterfactual_policy(b, spec, "cf-bayes", prior=lambda p: -1.0)
-        with pytest.raises(ValueError, match="zero mass"):
-            counterfactual_policy(b, spec, "cf-bayes", prior=lambda p: 0.0)
-
     def test_unknown_criterion(self, obs_e1):
         with pytest.raises(ValueError, match="unknown counterfactual criterion"):
             counterfactual_policy(exp_bounds(obs_e1, "l0"),
