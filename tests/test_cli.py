@@ -1,10 +1,13 @@
 import contextlib
 import io
+import os
 
 import pytest
 
 from harmbounds.cli import main
 from harmbounds.verify import PROPS
+
+from conftest import DATA_DIR
 
 
 def run(*args):
@@ -302,6 +305,20 @@ class TestVerify:
         code, out, _ = run("verify", "--props", "s4", "--trials", "200", "--seed", "3")
         assert code == 0
         assert "unclipped dominance fails" in out
+
+    @pytest.mark.parametrize("form", ["table", "machine"])
+    def test_output_matches_golden_file(self, form):
+        # Recorded before the oracle moved from Fraction to int arithmetic.
+        args = ["verify", "--trials", "200", "--seed", "0"]
+        name = "verify_trials200_seed0.txt"
+        if form == "machine":
+            args.append("--machine")
+            name = "verify_trials200_seed0_machine.txt"
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
+            want = fh.read()
+        code, out, _ = run(*args)
+        assert code == 0
+        assert out.encode("utf-8") == want
 
     def test_unknown_prop(self):
         code, _, err = run("verify", "--props", "s9")
