@@ -16,7 +16,7 @@ The package splits into small pure layers:
 * :mod:`harmbounds.simulate` - random laws, dataset sampling, plug-in
   estimation;
 * :mod:`harmbounds.verify` - brute-force property sweeps and the exact
-  rational LP oracle that certifies the bounds;
+  integer LP oracle that certifies the bounds;
 * :mod:`harmbounds.cli` - the ``harmbounds`` command.
 """
 

@@ -45,7 +45,7 @@ of that variable's other lines holds at ``c`` within ``tol``, which for
 The range of ``p`` is the sum of the counted extremes, and a window that
 counts nothing means the blocks are incompatible.  The arithmetic is
 exact: every input float, and ``tol``, is an integer at one power-of-two
-scale, and the final ``int / int`` rounds correctly.  The rational
+scale, and the final ``int / int`` rounds correctly.  The exact
 vertex-enumeration LP in :mod:`harmbounds.verify` computes the same range
 independently and serves as the oracle for both endpoints.
 

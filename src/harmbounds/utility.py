@@ -18,11 +18,13 @@ Two structural properties of ``gamma`` matter downstream:
   "would be harmed" patient is credited more than treating a "would be
   saved" patient.  This is a classification predicate, not a constraint.
 
-Utilities are dimensionless reals with no range restriction.
+Utilities are dimensionless finite reals with no range restriction; utility
+files with a non-finite entry are refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -168,6 +170,8 @@ def parse_utility_text(text: str) -> UtilitySpec:
             value = float(fields[3])
         except ValueError:
             raise FileFormatError(f"line {lineno}: malformed {kind} record") from None
+        if not math.isfinite(value):
+            raise FileFormatError(f"line {lineno}: {kind} value {fields[3]!r} is not finite")
         if kind == "MU":
             if first not in (0, 1) or second not in (0, 1):
                 raise FileFormatError(f"line {lineno}: MU indices must be 0 or 1")

@@ -14,18 +14,22 @@ effect is negative, and the sweep reports one concrete instance, while
 verifying the clipped form that survives.
 
 ``sharpness`` checks the closed forms of :mod:`harmbounds.bounds`, both
-endpoints of the fused interval included, against the exact rational
+endpoints of the fused interval included, against the exact
 vertex-enumeration LP defined here (:func:`sharp_bounds_lp`), which the
-package uses nowhere else.
+package uses nowhere else.  The LP runs in plain integers: its 0/1
+constraint structure is eliminated once and cached as integer maps, and
+each call scales its float inputs to integers at one power-of-two
+denominator and divides once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +64,8 @@ def _sweep(name: str, trials: int, seed: int,
     ``check`` returns a failure message or ``None``; the law of trial ``i``
     has ``1 + i % 3`` levels and a seed drawn from ``seed``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     result = SweepResult(name, trials, 0)
     law_seeds = np.random.default_rng(seed).integers(0, 2**63, size=trials)
     for i in range(trials):
@@ -173,30 +179,53 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
 # Linear-constraint oracle.  The identified set is the polytope of joint
 # cell probabilities q(s, a) = P(S=s, A*=a | l) over the 8 cells, cut by the
 # linear equalities the observed blocks impose; a linear functional attains
-# its extrema at vertices, which are enumerated exactly in rational
-# arithmetic (every 64-bit float is a rational, so float inputs lose
-# nothing).  This shares no code with the closed forms in bounds.py.
+# its extrema at vertices, and every column basis of the system is tried.
+# The coefficient rows are fixed 0/1 patterns, so the elimination depends
+# only on the structure: it is done once per structure, fraction-free, and
+# cached as integer maps at one common scale (1 for both systems here,
+# since every basis inverse has entries in {-1, 0, 1}).  Per call, the
+# right-hand sides and ``tol`` are integers at their common power-of-two
+# denominator (every float is dyadic), every step is ``int`` arithmetic,
+# and each result is one correctly rounded ``int / int``, so it equals
+# exact rational arithmetic bit for bit.  This shares no code with the
+# closed forms in bounds.py.
 # ---------------------------------------------------------------------------
 
 #: Variable order for the joint-cell polytope: (stratum, intention).
-Q_CELLS = tuple((s, astar) for s in STRATA for astar in (0, 1))
+_Q_CELLS = tuple((s, astar) for s in STRATA for astar in (0, 1))
 
 
 @dataclass(frozen=True)
-class LinearConstraintSystem:
+class _LinearConstraintSystem:
     """Equality constraints ``A q = b`` over the 8 joint cells, with ``q >= 0`` implicit.
 
-    Coefficients and right-hand sides are exact rationals.  ``row_labels``
-    name the constraints for error messages.
+    ``rows`` are integer coefficient rows and ``rhs`` the float right-hand
+    sides.  ``row_labels`` name the constraints for error messages.
     """
 
     cells: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[float, ...]
     row_labels: tuple[str, ...]
 
 
-def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> LinearConstraintSystem:
+@dataclass(frozen=True)
+class _Elimination:
+    """The elimination of one coefficient structure, as integer maps over ``scale``.
+
+    For a right-hand side ``b``, each entry of ``residuals`` pairs the index
+    of a dependent row with the vector ``c`` such that ``c . b / scale`` is
+    what elimination leaves of that row's right-hand side.  Each entry of
+    ``bases`` pairs an invertible column basis with the matrix ``M`` such
+    that ``M b / scale`` are the basic coordinates of its vertex.
+    """
+
+    scale: int
+    residuals: tuple[tuple[int, tuple[int, ...]], ...]
+    bases: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+
+
+def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> _LinearConstraintSystem:
     """Constraint system the observed blocks impose on the joint cells at level ``l``.
 
     Always includes the two trial-margin equalities and normalization.
@@ -206,28 +235,28 @@ def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> LinearConstra
     p_y1 = exp_potential_mean(obs, 1, l)
     p_y0 = exp_potential_mean(obs, 0, l)
 
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
+    rows: list[tuple[int, ...]] = []
+    rhs: list[float] = []
     labels: list[str] = []
 
     def add(cells_in: set[tuple[int, int]], value: float, label: str) -> None:
-        rows.append(tuple(Fraction(1) if c in cells_in else Fraction(0) for c in Q_CELLS))
-        rhs.append(Fraction(value))
+        rows.append(tuple(int(c in cells_in) for c in _Q_CELLS))
+        rhs.append(value)
         labels.append(label)
 
-    add({(s, a) for (s, a) in Q_CELLS if s in (1, 3)}, p_y1, "margin Y under a=1")
-    add({(s, a) for (s, a) in Q_CELLS if s in (2, 3)}, p_y0, "margin Y under a=0")
+    add({(s, a) for (s, a) in _Q_CELLS if s in (1, 3)}, p_y1, "margin Y under a=1")
+    add({(s, a) for (s, a) in _Q_CELLS if s in (2, 3)}, p_y0, "margin Y under a=0")
     if fuse:
         for y in (0, 1):
             for a in (0, 1):
-                cells_in = {(s, aa) for (s, aa) in Q_CELLS
+                cells_in = {(s, aa) for (s, aa) in _Q_CELLS
                             if aa == a and potential_outcome(s, a) == y}
                 add(cells_in, obs.p_joint(y, a, l, 0), f"observational cell (Y={y}, A={a})")
     else:
-        add(set(Q_CELLS), 1.0, "normalization")
+        add(set(_Q_CELLS), 1.0, "normalization")
 
-    return LinearConstraintSystem(cells=Q_CELLS, rows=tuple(rows), rhs=tuple(rhs),
-                                  row_labels=tuple(labels))
+    return _LinearConstraintSystem(cells=_Q_CELLS, rows=tuple(rows), rhs=tuple(rhs),
+                                   row_labels=tuple(labels))
 
 
 def stratum_target(s: int) -> dict[tuple[int, int], float]:
@@ -237,120 +266,165 @@ def stratum_target(s: int) -> dict[tuple[int, int], float]:
     return {(s, 0): 1.0, (s, 1): 1.0}
 
 
-def polytope_vertices(system: LinearConstraintSystem,
-                      tol: float = DEFAULT_TOL) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions of the system, in exact rationals.
+def polytope_vertices(system: _LinearConstraintSystem,
+                      tol: float = DEFAULT_TOL) -> tuple[list[tuple[int, ...]], int]:
+    """All basic feasible solutions of the system, exactly.
 
-    ``tol`` is the slack for (i) dropping dependent rows whose right-hand
-    sides disagree by rounding, and (ii) accepting marginally negative
-    vertex coordinates; both only matter for noisy plug-in inputs.
-
-    The coefficient side of the elimination depends only on the constraint
-    structure, so the invertible bases and their inverses are cached
-    across calls; per call only the right-hand side is propagated.
+    Returns integer vertices and their common denominator.  ``tol`` is the
+    slack for (i) dropping dependent rows whose right-hand sides disagree
+    by rounding, and (ii) accepting marginally negative vertex
+    coordinates; both only matter for noisy plug-in inputs.
     """
-    ftol = Fraction(tol)
-    reduced_rows, reduced_rhs = _echelon(system, ftol)
-    rank = len(reduced_rows)
-    n = len(system.cells)
-    key = tuple(tuple(row) for row in reduced_rows)
-    vertices: list[tuple[Fraction, ...]] = []
-    for basis, inverse in _invertible_bases(key, n):
-        basic = [sum(inverse[i][k] * reduced_rhs[k] for k in range(rank))
-                 for i in range(rank)]
-        if any(x < -ftol for x in basic):
+    elimination = _eliminate(system.rows)
+    rhs_scale, (*rhs, t) = _common_scale((*system.rhs, tol))
+    slack = elimination.scale * t
+    denominator = elimination.scale * rhs_scale
+    for k, residual in elimination.residuals:
+        off = _dot(residual, rhs)
+        if abs(off) > slack:
+            raise IncompatibleLawsError(
+                f"incompatible observed law: constraint "
+                f"{system.row_labels[k]!r} is off by {off / denominator:.3g}")
+    vertices: list[tuple[int, ...]] = []
+    for basis, solve in elimination.bases:
+        basic = [_dot(row, rhs) for row in solve]
+        if min(basic) < -slack:
             continue
-        full = [Fraction(0)] * n
+        full = [0] * len(system.cells)
         for value, j in zip(basic, basis):
             full[j] = value
         vertices.append(tuple(full))
     if not vertices:
         raise IncompatibleLawsError("incompatible observed law: the constraint polytope is empty")
-    return vertices
+    return vertices, denominator
 
 
-def sharp_bounds_lp(system: LinearConstraintSystem,
+def sharp_bounds_lp(system: _LinearConstraintSystem,
                     target: Mapping[tuple[int, int], float],
                     tol: float = DEFAULT_TOL,
-                    vertices: list[tuple[Fraction, ...]] | None = None) -> tuple[float, float]:
+                    vertices: tuple[list[tuple[int, ...]], int] | None = None
+                    ) -> tuple[float, float]:
     """Exact min and max of ``target`` over the feasible polytope.
 
-    A linear functional attains its extrema at vertices, which are
-    enumerated in rational arithmetic; pass ``vertices`` (from
-    :func:`polytope_vertices`) to evaluate several targets on one
+    A linear functional attains its extrema at vertices; pass ``vertices``
+    (from :func:`polytope_vertices`) to evaluate several targets on one
     enumeration.
     """
     unknown = set(target) - set(system.cells)
     if unknown:
         raise ValueError(f"target references unknown cells: {sorted(unknown)}")
-    coef = tuple(Fraction(target.get(c, 0.0)) for c in system.cells)
-    if vertices is None:
-        vertices = polytope_vertices(system, tol)
-    values = [sum(c * x for c, x in zip(coef, v)) for v in vertices]
-    return float(min(values)), float(max(values))
+    coef_scale, coef = _common_scale([target.get(c, 0.0) for c in system.cells])
+    points, denominator = polytope_vertices(system, tol) if vertices is None else vertices
+    values = [_dot(coef, v) for v in points]
+    denominator *= coef_scale
+    return min(values) / denominator, max(values) / denominator
 
 
-def _echelon(system: LinearConstraintSystem,
-             ftol: Fraction) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Forward elimination to an independent row set; raises on inconsistency.
+def _common_scale(values: Iterable[float]) -> tuple[int, list[int]]:
+    """``values`` as integers over their common denominator, and that denominator.
 
-    Coefficient rows are exact, so rank decisions are exact; a row whose
-    coefficients vanish is dropped when its residual right-hand side is
-    within ``ftol`` and is an infeasibility certificate otherwise.
+    For floats the denominator is the largest power of two among theirs.
     """
-    work = [list(row) + [b] for row, b in zip(system.rows, system.rhs)]
-    n = len(system.cells)
-    reduced: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for row_idx, row in enumerate(work):
-        for r, pc in zip(reduced, pivot_cols):
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*(d for _, d in ratios))
+    return scale, [n * (scale // d) for n, d in ratios]
+
+
+def _dot(a: Iterable[int], b: Iterable[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+@lru_cache(maxsize=16)
+def _eliminate(rows: tuple[tuple[int, ...], ...]) -> _Elimination:
+    """Eliminate one coefficient structure exactly and put its maps at one integer scale."""
+    reduced, transform, dependent = _echelon(rows)
+    columns = list(zip(*transform))
+    # Each map is an integer numerator matrix over an integer denominator.
+    residuals = [(k, (row,), multiple) for k, row, multiple in dependent]
+    bases = [(basis, [[_dot(a, c) for c in columns] for a in adjugate], det)
+             for basis, adjugate, det in _invertible_bases(reduced)]
+    scale = lcm(*(abs(den) // gcd(v, den) for _, matrix, den in residuals + bases
+                  for row in matrix for v in row))
+
+    def scaled(matrix: Sequence[Sequence[int]], den: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(v * scale // den for v in row) for row in matrix)
+
+    return _Elimination(
+        scale=scale,
+        residuals=tuple((k, scaled(matrix, den)[0]) for k, matrix, den in residuals),
+        bases=tuple((basis, scaled(matrix, den)) for basis, matrix, den in bases))
+
+
+def _echelon(rows: tuple[tuple[int, ...], ...]) -> tuple[
+        list[list[int]], list[list[int]], list[tuple[int, list[int], int]]]:
+    """Fraction-free forward elimination to an independent row set.
+
+    Each row is augmented with its unit vector, so the augmented part maps
+    a right-hand side to the one elimination produces.  Rows are combined
+    by cross-multiplication, so every entry stays an integer and each row
+    is a known integer multiple of the row rational elimination gives.
+    Returns the independent rows and their augmented parts, and for each
+    dependent row (its coefficients vanish) its index, augmented part and
+    multiple; that row's right-hand side must vanish within ``tol``, or it
+    certifies infeasibility.
+    """
+    m, n = len(rows), len(rows[0])
+    reduced: list[tuple[int, list[int]]] = []
+    dependent: list[tuple[int, list[int], int]] = []
+    for row_idx, coefficients in enumerate(rows):
+        row = list(coefficients) + [int(k == row_idx) for k in range(m)]
+        multiple = 1
+        for pc, r in reduced:
             factor = row[pc]
             if factor != 0:
-                for j in range(n + 1):
-                    row[j] -= factor * r[j]
+                row = [r[pc] * v - factor * w for v, w in zip(row, r)]
+                multiple *= r[pc]
         pivot = next((j for j in range(n) if row[j] != 0), None)
         if pivot is None:
-            if abs(row[n]) > ftol:
-                raise IncompatibleLawsError(
-                    f"incompatible observed law: constraint "
-                    f"{system.row_labels[row_idx]!r} is off by {float(row[n]):.3g}")
-            continue
-        inv = Fraction(1) / row[pivot]
-        reduced.append([v * inv for v in row])
-        pivot_cols.append(pivot)
-    return [r[:n] for r in reduced], [r[n] for r in reduced]
+            dependent.append((row_idx, row[n:], multiple))
+        else:
+            reduced.append((pivot, row))
+    return [r[:n] for _, r in reduced], [r[n:] for _, r in reduced], dependent
 
 
-@lru_cache(maxsize=128)
-def _invertible_bases(reduced_rows: tuple[tuple[Fraction, ...], ...],
-                      n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
-    """Every column basis of the reduced matrix with its exact inverse."""
-    rank = len(reduced_rows)
+def _invertible_bases(reduced_rows: list[list[int]]
+                      ) -> list[tuple[tuple[int, ...], list[list[int]], int]]:
+    """Every column basis of the reduced matrix with its adjugate and determinant."""
+    rank, n = len(reduced_rows), len(reduced_rows[0])
     out = []
     for basis in combinations(range(n), rank):
-        inverse = _invert([[reduced_rows[i][j] for j in basis] for i in range(rank)])
-        if inverse is not None:
-            out.append((basis, tuple(tuple(row) for row in inverse)))
-    return tuple(out)
+        square = [[row[j] for j in basis] for row in reduced_rows]
+        det = _det(square)
+        if det != 0:
+            out.append((basis, _adjugate(square), det))
+    return out
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Gauss-Jordan inverse of a square rational matrix; None when singular."""
+def _adjugate(matrix: list[list[int]]) -> list[list[int]]:
+    """Transposed cofactor matrix, so that ``adj(A) A = det(A) I``."""
     m = len(matrix)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(m)]
-            for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot_row = next((i for i in range(col, m) if work[i][col] != 0), None)
+    return [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:]
+                                     for k, row in enumerate(matrix) if k != i])
+             for i in range(m)] for j in range(m)]
+
+
+def _det(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    m = len(a)
+    sign, previous = 1, 1
+    for k in range(m):
+        pivot_row = next((i for i in range(k, m) if a[i][k] != 0), None)
         if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for i in range(m):
-            if i != col and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[col])]
-    return [row[m:] for row in work]
+            return 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * previous
 
 
 def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:

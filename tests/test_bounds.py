@@ -170,6 +170,22 @@ class TestSharpBoundsLP:
         with pytest.raises(IncompatibleLawsError):
             sharp_bounds_lp(strata_system(obs, "l0", fuse=True), stratum_target(1))
 
+    def test_dependent_row_is_checked(self, obs_e1):
+        # normalization is implied by the fused rows: a consistent copy changes
+        # nothing, an inconsistent one is reported with its residual
+        system = strata_system(obs_e1, "l0", fuse=True)
+
+        def with_normalization(total):
+            return dataclasses.replace(system, rows=system.rows + ((1,) * 8,),
+                                       rhs=system.rhs + (total,),
+                                       row_labels=system.row_labels + ("normalization",))
+
+        target = stratum_target(1)
+        assert sharp_bounds_lp(with_normalization(1.0), target) == sharp_bounds_lp(system, target)
+        with pytest.raises(IncompatibleLawsError,
+                           match="constraint 'normalization' is off by 0.01"):
+            sharp_bounds_lp(with_normalization(1.01), target)
+
     def test_fused_bounds_wrapper(self, obs_e1):
         b = fused_bounds(obs_e1, "l0")
         assert b.source == "fused"

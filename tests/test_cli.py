@@ -66,6 +66,20 @@ class TestExitCodes:
         assert code == 3
         assert "not identified" in err
 
+    @pytest.mark.parametrize("line, bad, criterion, message", [
+        ("MU 0 0 1.0", "MU 0 0 nan", "interventionist", "line 2: MU value 'nan' is not finite"),
+        ("GAMMA 1 1 -3.0", "GAMMA 1 1 inf", "cf-minimax-regret",
+         "line 7: GAMMA value 'inf' is not finite"),
+    ])
+    def test_non_finite_utility_is_format_error(self, tmp_path, e1_law_path, pen3_util_path,
+                                                line, bad, criterion, message):
+        path = tmp_path / "bad.util"
+        path.write_text(open(pen3_util_path).read().replace(line, bad))
+        code, out, err = run("decide", "--law", e1_law_path, "--utility", str(path),
+                             "--criterion", criterion)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_empty_trial_is_identification_failure(self, tmp_path, e1_law_path):
         text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.0 0.5")
         path = tmp_path / "no-trial.law"

@@ -154,6 +154,7 @@ class TestUtilityFiles:
         ("MU 0 2 1.0\n", "indices must be"),
         ("NU 0 0 1.0\n", "unknown record"),
         ("MU 0 0 x\n", "malformed"),
+        ("MU 0 0 -inf\n", "line 1: MU value '-inf' is not finite"),
     ])
     def test_malformed(self, text, message):
         with pytest.raises(FileFormatError, match=message):
