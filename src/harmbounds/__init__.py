@@ -33,15 +33,15 @@ from .errors import (FileFormatError, GainEqualityError, GammaMissingError,
 from .identify import (IdentifiedMeans, att_atu, exp_potential_mean,
                        fused_potential_mean, identified_means)
 from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw,
-                   format_law_text, observed_from_full, parse_law_text,
-                   potential_outcome, read_law_file, stratum_from_outcomes,
-                   stratum_margins, validate_full_law, validate_observed_law)
+                   observed_from_full, parse_law_text, potential_outcome,
+                   read_law_file, stratum_margins, validate_full_law,
+                   validate_observed_law)
 from .simulate import (Dataset, estimate_observed_law, format_dataset_csv,
                        parse_dataset_csv, random_law, read_dataset_file,
-                       sample_dataset, write_dataset_file)
+                       sample_dataset)
 from .utility import (UtilitySpec, expected_cf_utility_diff, expected_int_utility,
-                      format_utility_text, gain_equality_diff, gain_equality_holds,
-                      harm_asymmetric, harm_penalized_gamma, induced_gamma,
-                      parse_utility_text, read_utility_file, survival_spec)
+                      gain_equality_diff, gain_equality_holds, harm_penalized_gamma,
+                      induced_gamma, parse_utility_text, read_utility_file,
+                      survival_spec)
 
 __version__ = "0.1.0"

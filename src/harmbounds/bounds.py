@@ -67,7 +67,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .errors import IncompatibleLawsError
 from .identify import DEFAULT_TOL, att_atu, exp_potential_mean
-from .laws import STRATA, FullLaw, ObservedLaw, potential_outcome, validate_full_law
+from .laws import (STRATA, FullLaw, ObservedLaw, potential_outcome, stratum_margins,
+                   validate_full_law)
 
 _SOURCES = ("experimental-only", "fused", "true-law")
 
@@ -104,22 +105,10 @@ class StrataBounds:
         """Stratum distribution at parameter value ``p``."""
         return (p, p - self.ate, self.p_y1 - p, 1.0 - self.p_y0 - p)
 
-    @property
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        """Per-stratum ``[lo, hi]`` intervals in stratum-code order."""
-        at_lo = self.family(self.p_lo)
-        at_hi = self.family(self.p_hi)
-        out = []
-        for i in range(4):
-            lo, hi = sorted((at_lo[i], at_hi[i]))
-            out.append((_clamp01(lo), _clamp01(hi)))
-        return tuple(out)
-
     def interval(self, s: int) -> tuple[float, float]:
-        return self.intervals[s - 1]
-
-    def is_point(self, tol: float = 1e-12) -> bool:
-        return self.p_hi - self.p_lo <= tol
+        """``[lo, hi]`` for ``P(S=s|l)``: the coordinate's range over the family."""
+        lo, hi = sorted((self.family(self.p_lo)[s - 1], self.family(self.p_hi)[s - 1]))
+        return _clamp01(lo), _clamp01(hi)
 
 
 def _clamp01(x: float) -> float:
@@ -146,11 +135,9 @@ def exp_bounds(obs: ObservedLaw, l: str) -> StrataBounds:
 
 def true_bounds(law: FullLaw, l: str) -> StrataBounds:
     """Degenerate bounds at the true stratum distribution of a full law."""
-    probs = law.strata_marginal(l)
-    p_y1 = probs[0] + probs[2]
-    p_y0 = probs[1] + probs[2]
-    return StrataBounds(level=l, p_y1=p_y1, p_y0=p_y0,
-                        p_lo=probs[0], p_hi=probs[0], source="true-law")
+    p_y1, p_y0, _ = stratum_margins(law, l)
+    p = law.strata_marginal(l)[0]
+    return StrataBounds(level=l, p_y1=p_y1, p_y0=p_y0, p_lo=p, p_hi=p, source="true-law")
 
 
 def fused_lower_bound_s1(obs: ObservedLaw, l: str) -> float:
@@ -205,10 +192,6 @@ class Regime:
 
     name: str
     treat_prob: Callable[[str, int, int], float]
-
-    @staticmethod
-    def always() -> "Regime":
-        return Regime("always-treat", lambda l, astar, s: 1.0)
 
     @staticmethod
     def never() -> "Regime":

@@ -266,12 +266,15 @@ def cmd_compare(args) -> int:
         raise UsageError("compare requires --law (policy evaluation needs the full law)")
     if not args.utility:
         raise UsageError("compare requires --utility")
+    criterion = args.criterion or "cf-point"
+    if criterion == "interventionist":
+        raise UsageError("compare needs a counterfactual --criterion: "
+                         + ", ".join(c for c in CRITERIA if c != "interventionist"))
     law = read_law_file(args.law)
     spec = read_utility_file(args.utility)
     if not spec.has_gamma:
         raise GammaMissingError("compare needs a utility file with a GAMMA table")
     int_spec = UtilitySpec(mu=spec.mu, gamma=None)
-    criterion = args.criterion or "cf-point"
     cf_policy, int_policy = true_law_policies(law, spec, int_spec, criterion)
     cf_value = policy_value(law, cf_policy)
     int_value = policy_value(law, int_policy)

@@ -60,21 +60,16 @@ class DecisionReport:
     criterion: str
     cells: tuple[DecisionCell, ...]
 
-    def cell(self, features: tuple) -> DecisionCell:
-        for c in self.cells:
-            if c.features == features:
-                return c
-        raise KeyError(features)
-
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic action per feature tuple, with provenance of the inputs used."""
+    """Deterministic action per feature tuple.
+
+    Keys are ``(level,)``, or ``(level, astar)`` when ``uses_astar``.
+    """
 
     assignments: Mapping[tuple, int]
-    criterion: str
     uses_astar: bool
-    provenance: str
 
     def action(self, l: str, astar: int | None = None) -> int:
         key = (l, astar) if self.uses_astar else (l,)
@@ -83,10 +78,8 @@ class Policy:
         return self.assignments[key]
 
 
-def _policy_from_report(report: DecisionReport, uses_astar: bool, provenance: str) -> Policy:
-    assignments = {c.features: c.action for c in report.cells}
-    return Policy(assignments=assignments, criterion=report.criterion,
-                  uses_astar=uses_astar, provenance=provenance)
+def _policy_from_report(report: DecisionReport, uses_astar: bool) -> Policy:
+    return Policy({c.features: c.action for c in report.cells}, uses_astar)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +114,7 @@ def interventionist_report(means: IdentifiedMeans, spec: UtilitySpec,
 
 def interventionist_policy(means: IdentifiedMeans, spec: UtilitySpec,
                            use_astar: bool = False) -> Policy:
-    report = interventionist_report(means, spec, use_astar)
-    return _policy_from_report(report, use_astar, provenance=f"{means.source} means")
+    return _policy_from_report(interventionist_report(means, spec, use_astar), use_astar)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +181,7 @@ def counterfactual_report(bounds: StrataBounds | Mapping[str, StrataBounds],
 
 def counterfactual_policy(bounds: StrataBounds | Mapping[str, StrataBounds],
                           spec: UtilitySpec, criterion: str) -> Policy:
-    report = counterfactual_report(bounds, spec, criterion)
-    if isinstance(bounds, StrataBounds):
-        sources = {bounds.source}
-    else:
-        sources = {b.source for b in bounds.values()}
-    return _policy_from_report(report, uses_astar=False,
-                               provenance=f"{'/'.join(sorted(sources))} bounds")
+    return _policy_from_report(counterfactual_report(bounds, spec, criterion), uses_astar=False)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +214,7 @@ def true_law_policies(law: FullLaw, cf_spec: UtilitySpec, int_spec: UtilitySpec,
     """
     validate_full_law(law)
     exp_means = {(l, a): law.potential_mean(a, l) for l in law.levels for a in (0, 1)}
-    means = IdentifiedMeans(exp=exp_means, fused=None, p_astar=None, source="true-law")
+    means = IdentifiedMeans(exp=exp_means, fused=None, p_astar=None)
     int_policy = interventionist_policy(means, int_spec, use_astar=False)
     cf_policy = counterfactual_policy({l: true_bounds(law, l) for l in law.levels},
                                       cf_spec, criterion)

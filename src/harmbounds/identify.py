@@ -94,13 +94,13 @@ class IdentifiedMeans:
 
     ``exp[(l, a)]`` holds ``E[Y^a | l]``; when present, ``fused[(l, a, astar)]``
     holds ``E[Y^a | A*=astar, l]`` and ``p_astar[l]`` the observational
-    ``P(A*=1 | l)``.  ``source`` records which inputs produced the means.
+    ``P(A*=1 | l)``; both are ``None`` when the means come from the trial
+    block alone, which :attr:`has_fused` reports.
     """
 
     exp: Mapping[tuple[str, int], float]
     fused: Mapping[tuple[str, int, int], float] | None
     p_astar: Mapping[str, float] | None
-    source: str
 
     def exp_mean(self, l: str, a: int) -> float:
         return self.exp[(l, a)]
@@ -134,7 +134,7 @@ def identified_means(obs: ObservedLaw, fuse: bool = False,
                 raise IncompatibleLawsError(f"mean E[Y^{a} | {l!r}] = {value:g} outside [0, 1]")
             exp[(l, a)] = value
     if not fuse:
-        return IdentifiedMeans(exp=exp, fused=None, p_astar=None, source="experimental")
+        return IdentifiedMeans(exp=exp, fused=None, p_astar=None)
 
     fused: dict[tuple[str, int, int], float] = {}
     p_astar: dict[str, float] = {}
@@ -149,4 +149,4 @@ def identified_means(obs: ObservedLaw, fuse: bool = False,
                 raise IncompatibleLawsError(
                     f"law of total probability fails for E[Y^{a} | {l!r}]: "
                     f"mixture {mix:.6g} vs marginal {exp[(l, a)]:.6g}")
-    return IdentifiedMeans(exp=exp, fused=fused, p_astar=p_astar, source="fused")
+    return IdentifiedMeans(exp=exp, fused=fused, p_astar=p_astar)

@@ -63,18 +63,11 @@ STRATA = (1, 2, 3, 4)
 #: code -> (outcome under a=1, outcome under a=0)
 STRATUM_OUTCOMES = {1: (1, 0), 2: (0, 1), 3: (1, 1), 4: (0, 0)}
 
-_OUTCOMES_TO_STRATUM = {pair: s for s, pair in STRATUM_OUTCOMES.items()}
-
 
 def potential_outcome(s: int, a: int) -> int:
     """Outcome a member of stratum ``s`` realizes under treatment ``a``."""
     y1, y0 = STRATUM_OUTCOMES[s]
     return y1 if a == 1 else y0
-
-
-def stratum_from_outcomes(y1: int, y0: int) -> int:
-    """Inverse of :data:`STRATUM_OUTCOMES`: the code for the pair ``(y1, y0)``."""
-    return _OUTCOMES_TO_STRATUM[(y1, y0)]
 
 
 def _check_prob(value: float, what: str) -> None:
@@ -109,11 +102,6 @@ class FullLaw:
     p_r1: Mapping[str, float]
     p_treat: Mapping[str, float]
 
-    def strata_conditional(self, l: str, astar: int) -> tuple[float, float, float, float]:
-        """``P(S=. | L=l, A*=astar)``."""
-        self._require_level(l)
-        return self.p_strata[(l, astar)]
-
     def strata_marginal(self, l: str) -> tuple[float, float, float, float]:
         """``P(S=. | L=l)``, marginalizing the intention variable."""
         self._require_level(l)
@@ -128,7 +116,8 @@ class FullLaw:
 
     def potential_mean_given_astar(self, a: int, astar: int, l: str) -> float:
         """``P(Y=1 | L=l, A*=astar)`` under an intervention fixing ``a``."""
-        return _outcome_mass(self.strata_conditional(l, astar), a)
+        self._require_level(l)
+        return _outcome_mass(self.p_strata[(l, astar)], a)
 
     def marginal_potential_mean(self, a: int) -> float:
         """``P(Y=1)`` under an intervention fixing ``a``, marginal over levels."""
@@ -340,20 +329,24 @@ def parse_law_text(text: str) -> FullLaw:
             except ValueError:
                 raise FileFormatError(f"line {lineno}: {tok!r} is not a number") from None
 
+        def new_label(seen: Mapping[str, float]) -> str:
+            if fields[1] in seen:
+                raise FileFormatError(f"line {lineno}: duplicate {kind} record for {fields[1]!r}")
+            return fields[1]
+
         if kind == "L":
             want(3)
-            label = fields[1]
-            if label in p_level:
-                raise FileFormatError(f"line {lineno}: duplicate L record for {label!r}")
+            label = new_label(p_level)
             p_level[label] = num(fields[2])
             order.append(label)
         elif kind == "TRIAL":
             want(4)
-            p_r1[fields[1]] = num(fields[2])
-            p_treat[fields[1]] = num(fields[3])
+            label = new_label(p_r1)
+            p_r1[label] = num(fields[2])
+            p_treat[label] = num(fields[3])
         elif kind == "ASTAR":
             want(3)
-            p_astar[fields[1]] = num(fields[2])
+            p_astar[new_label(p_astar)] = num(fields[2])
         elif kind == "S":
             want(7)
             label = fields[1]
@@ -384,20 +377,6 @@ def parse_law_text(text: str) -> FullLaw:
     law = FullLaw(levels=tuple(order), p_level=p_level, p_astar=p_astar,
                   p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
     return validate_full_law(law)
-
-
-def format_law_text(law: FullLaw) -> str:
-    """Render a law in the specification file format (full float precision)."""
-    lines = []
-    for l in law.levels:
-        lines.append(f"L {l} {law.p_level[l]!r}")
-        lines.append(f"TRIAL {l} {law.p_r1[l]!r} {law.p_treat[l]!r}")
-        lines.append(f"ASTAR {l} {law.p_astar[l]!r}")
-        for astar in (1, 0):
-            block = law.p_strata[(l, astar)]
-            vals = " ".join(repr(v) for v in block)
-            lines.append(f"S {l} {astar} {vals}")
-    return "\n".join(lines) + "\n"
 
 
 def read_law_file(path: str) -> FullLaw:

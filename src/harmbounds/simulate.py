@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, PositivityError
-from .laws import FullLaw, ObservedLaw, potential_outcome, validate_full_law, validate_observed_law
-
-BIT_GENERATOR = "pcg64"
+from .laws import FullLaw, ObservedLaw, validate_full_law, validate_observed_law
 
 
 def random_law(seed: int, n_levels: int = 1, confounding: bool = True) -> FullLaw:
@@ -73,6 +71,8 @@ class Dataset:
 
     Levels are carried as an index array plus the label tuple; oracle
     columns exist only when the dataset was drawn in oracle mode.
+    ``seed`` is the PCG64 seed a sampled dataset was drawn with, and
+    ``None`` for a dataset read from a file.
     """
 
     levels: tuple[str, ...]
@@ -83,7 +83,6 @@ class Dataset:
     astar: np.ndarray | None
     s: np.ndarray | None
     seed: int | None
-    bit_generator: str = BIT_GENERATOR
 
     @property
     def n(self) -> int:
@@ -169,10 +168,11 @@ def estimate_observed_law(data: Dataset, smoothing: float = 0.0) -> ObservedLaw:
 
 
 # ---------------------------------------------------------------------------
-# CSV round-trip.  Header `R,L,A,Y` (+`,ASTAR,S` in oracle mode); a leading
-# '#' comment records the generator and seed.  A dataset has few distinct
-# lines (at most 8 per level, 64 in oracle mode), so both directions work on
-# a table of those lines and move rows with one numpy gather per column.
+# CSV round-trip.  Header `R,L,A,Y` (+`,ASTAR,S` in oracle mode); a sampled
+# dataset's file starts with the comment `# pcg64 seed=S n=N`, which the
+# reader skips.  A dataset has few distinct lines (at most 8 per level, 64
+# in oracle mode), so both directions work on a table of those lines and
+# move rows with one numpy gather per column.
 # ---------------------------------------------------------------------------
 
 #: Integer-coded columns in file order and the values each allows.
@@ -199,7 +199,7 @@ def format_dataset_csv(data: Dataset) -> str:
     table = np.array([",".join(cell) + "\n" for cell in itertools.product(*texts)],
                      dtype=object)
 
-    head = f"# {data.bit_generator} seed={data.seed} n={data.n}\n" if data.seed is not None else ""
+    head = f"# pcg64 seed={data.seed} n={data.n}\n" if data.seed is not None else ""
     head += ",".join(name for name, _ in fields) + "\n"
     return head + "".join(table[code].tolist())
 
@@ -272,25 +272,3 @@ def parse_dataset_csv(text: str) -> Dataset:
 def read_dataset_file(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_dataset_csv(fh.read())
-
-
-def write_dataset_file(data: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_dataset_csv(data))
-
-
-def oracle_check(data: Dataset) -> None:
-    """Structural checks available only on oracle-mode datasets.
-
-    Outside the trial the received treatment must equal the intention, and
-    every outcome must match the potential outcome the stratum dictates.
-    """
-    if not data.has_oracle:
-        raise ValueError("dataset has no oracle columns")
-    obs_rows = data.r == 0
-    if np.any(data.a[obs_rows] != data.astar[obs_rows]):
-        raise AssertionError("A != A* in an observational row")
-    expected = np.array([potential_outcome(int(s), int(a))
-                         for s, a in zip(data.s, data.a)], dtype=np.int8)
-    if np.any(expected != data.y):
-        raise AssertionError("Y inconsistent with stratum and received treatment")

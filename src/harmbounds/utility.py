@@ -65,10 +65,9 @@ class UtilitySpec:
         return self.gamma
 
 
-def survival_spec(gamma: Mapping[tuple[int, int], float] | None = None) -> UtilitySpec:
+def survival_spec() -> UtilitySpec:
     """The "survival" preset ``mu(y, a) = 1 - y`` (outcome 1 read as death)."""
-    mu = {(y, a): 1.0 - y for (y, a) in _MU_KEYS}
-    return UtilitySpec(mu=mu, gamma=gamma)
+    return UtilitySpec(mu={(y, a): 1.0 - y for (y, a) in _MU_KEYS})
 
 
 def induced_gamma(mu: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -89,16 +88,10 @@ def harm_penalized_gamma(mu: Mapping[tuple[int, int], float],
     return g
 
 
-def gain_equality_holds(spec: UtilitySpec, tol: float = GAIN_TOL) -> bool:
-    """Whether ``delta(1) + delta(2) == delta(3) + delta(4)`` within ``tol``."""
+def gain_equality_holds(spec: UtilitySpec) -> bool:
+    """Whether ``delta(1) + delta(2) == delta(3) + delta(4)`` within ``GAIN_TOL``."""
     d = spec.delta
-    return abs((d[0] + d[1]) - (d[2] + d[3])) <= tol
-
-
-def harm_asymmetric(spec: UtilitySpec) -> bool:
-    """Whether the spec privileges withholding: ``-delta(1) > delta(2)``."""
-    d = spec.delta
-    return -d[0] > d[1]
+    return abs((d[0] + d[1]) - (d[2] + d[3])) <= GAIN_TOL
 
 
 def expected_cf_utility_diff(spec: UtilitySpec, strata_probs: Sequence[float]) -> float:
@@ -115,8 +108,7 @@ def expected_cf_utility_diff(spec: UtilitySpec, strata_probs: Sequence[float]) -
     return sum(d[i] * strata_probs[i] for i in range(4))
 
 
-def gain_equality_diff(spec: UtilitySpec, p_y1: float, p_y0: float,
-                       tol: float = GAIN_TOL) -> float:
+def gain_equality_diff(spec: UtilitySpec, p_y1: float, p_y0: float) -> float:
     """Margin-only fast path for ``E[U^1] - E[U^0]`` under gain equality.
 
     Valid because under gain equality the stratum distribution enters the
@@ -129,7 +121,7 @@ def gain_equality_diff(spec: UtilitySpec, p_y1: float, p_y0: float,
     """
     if not 0.0 <= p_y1 <= 1.0 or not 0.0 <= p_y0 <= 1.0:
         raise ValueError("outcome margins must lie in [0, 1]")
-    if not gain_equality_holds(spec, tol):
+    if not gain_equality_holds(spec):
         d = spec.delta
         raise GainEqualityError(
             f"gain equality fails: delta(1)+delta(2) = {d[0] + d[1]:g} "
@@ -189,13 +181,6 @@ def parse_utility_text(text: str) -> UtilitySpec:
     if gamma and set(gamma) != set(_GAMMA_KEYS):
         raise FileFormatError("utility file defines GAMMA but not all eight entries")
     return UtilitySpec(mu=mu, gamma=gamma or None)
-
-
-def format_utility_text(spec: UtilitySpec) -> str:
-    lines = [f"MU {y} {a} {spec.mu[(y, a)]!r}" for (y, a) in _MU_KEYS]
-    if spec.gamma is not None:
-        lines += [f"GAMMA {s} {a} {spec.gamma[(s, a)]!r}" for (s, a) in _GAMMA_KEYS]
-    return "\n".join(lines) + "\n"
 
 
 def read_utility_file(path: str) -> UtilitySpec:

@@ -43,6 +43,13 @@ from .simulate import random_law
 
 MAX_FAILURES = 5
 
+#: Intention-group effects within this of zero are sign ties, which ``s5`` skips.
+S5_TIE_TOL = 1e-9
+#: Allowed disagreement between the LP oracle and the closed forms in ``sharpness``.
+SHARPNESS_TOL = 1e-9
+#: Allowed error of a fused mean, and of its mixture, in ``fusion``.
+FUSION_TOL = 1e-12
+
 
 @dataclass
 class SweepResult:
@@ -144,14 +151,14 @@ def sweep_s4(trials: int, seed: int) -> SweepResult:
     return result
 
 
-def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
+def sweep_s5(trials: int, seed: int) -> SweepResult:
     """Opposite-sign intention effects iff the observational block tightens the bound.
 
     When the signs strictly differ the tightening is at least the smaller
     effect scaled by its group probability, far above rounding; when they
     do not, the four-term bound coincides with the experimental one up to
-    rounding.  Effects within ``tol`` of zero are genuine sign ties and
-    are skipped.
+    rounding.  Effects within ``S5_TIE_TOL`` of zero are genuine sign ties
+    and are skipped.
     """
     skipped = 0
 
@@ -159,10 +166,10 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
         nonlocal skipped
         obs = observed_from_full(law)
         for l in law.levels:
-            test = improvement_test(obs, l, tol)
+            test = improvement_test(obs, l, S5_TIE_TOL)
             _, _, tau0 = stratum_margins(law, l)
             gain = fused_lower_bound_s1(obs, l) - max(0.0, tau0)
-            if min(abs(test.att), abs(test.atu)) <= tol:
+            if min(abs(test.att), abs(test.atu)) <= S5_TIE_TOL:
                 skipped += 1
                 continue
             if test.improves != (gain > 1e-12):
@@ -171,7 +178,7 @@ def sweep_s5(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
 
     result = _sweep("s5", trials, seed, check)
     if skipped:
-        result.notes.append(f"{skipped} level(s) skipped as sign ties within {tol:g}")
+        result.notes.append(f"{skipped} level(s) skipped as sign ties within {S5_TIE_TOL:g}")
     return result
 
 
@@ -427,7 +434,7 @@ def _det(matrix: list[list[int]]) -> int:
     return sign * previous
 
 
-def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
+def sweep_sharpness(trials: int, seed: int) -> SweepResult:
     """LP oracle against the closed forms, plus redundancy of the mixture terms."""
 
     def check(i: int, law: FullLaw) -> str | None:
@@ -439,16 +446,16 @@ def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
             for s in STRATA:
                 lo, hi = sharp_bounds_lp(exp_system, stratum_target(s), vertices=exp_vertices)
                 clo, chi = closed.interval(s)
-                if abs(lo - clo) > tol or abs(hi - chi) > tol:
+                if abs(lo - clo) > SHARPNESS_TOL or abs(hi - chi) > SHARPNESS_TOL:
                     return (f"trial {i} level {l}: LP [{lo:.6g}, {hi:.6g}] vs "
                             f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
 
             fused_lb = fused_lower_bound_s1(obs, l)
             lp_lo, lp_hi = sharp_bounds_lp(strata_system(obs, l, fuse=True), stratum_target(1))
-            if abs(lp_lo - fused_lb) > tol:
+            if abs(lp_lo - fused_lb) > SHARPNESS_TOL:
                 return f"trial {i} level {l}: LP lower {lp_lo:.6g} vs four-term {fused_lb:.6g}"
             fused = fused_bounds(obs, l)
-            if abs(fused.p_lo - lp_lo) > tol or abs(fused.p_hi - lp_hi) > tol:
+            if abs(fused.p_lo - lp_lo) > SHARPNESS_TOL or abs(fused.p_hi - lp_hi) > SHARPNESS_TOL:
                 return (f"trial {i} level {l}: fused [{fused.p_lo:.6g}, "
                         f"{fused.p_hi:.6g}] vs LP [{lp_lo:.6g}, {lp_hi:.6g}]")
 
@@ -456,22 +463,22 @@ def sweep_sharpness(trials: int, seed: int, tol: float = 1e-9) -> SweepResult:
             # differences built from it cannot beat the retained terms.
             trial_marginal = obs.p_y(l, 1)
             redundant = max(trial_marginal - closed.p_y0, closed.p_y1 - trial_marginal)
-            if redundant > fused_lb + tol:
+            if redundant > fused_lb + SHARPNESS_TOL:
                 return f"trial {i} level {l}: redundant term {redundant:.6g} sharpens"
 
             truth = law.strata_marginal(l)
-            if not (lp_lo - tol <= truth[0] <= lp_hi + tol):
+            if not (lp_lo - SHARPNESS_TOL <= truth[0] <= lp_hi + SHARPNESS_TOL):
                 return f"trial {i} level {l}: truth {truth[0]:.6g} escapes LP interval"
             for s in STRATA:
                 clo, chi = closed.interval(s)
-                if not (clo - tol <= truth[s - 1] <= chi + tol):
+                if not (clo - SHARPNESS_TOL <= truth[s - 1] <= chi + SHARPNESS_TOL):
                     return f"trial {i} level {l}: truth escapes stratum {s} interval"
         return None
 
     return _sweep("sharpness", trials, seed, check)
 
 
-def sweep_fusion(trials: int, seed: int, tol: float = 1e-12) -> SweepResult:
+def sweep_fusion(trials: int, seed: int) -> SweepResult:
     """Fused means recover the direct conditional means of the generating law."""
 
     def check(i: int, law: FullLaw) -> str | None:
@@ -483,12 +490,12 @@ def sweep_fusion(trials: int, seed: int, tol: float = 1e-12) -> SweepResult:
                 for astar in (0, 1):
                     ident = fused_potential_mean(obs, a, astar, l)
                     direct = law.potential_mean_given_astar(a, astar, l)
-                    if abs(ident - direct) > tol:
+                    if abs(ident - direct) > FUSION_TOL:
                         return (f"trial {i} level {l}: fused mean {ident:.9g} vs "
                                 f"direct {direct:.9g} (a={a}, astar={astar})")
                     mix += ident * (p_astar if astar == 1 else 1.0 - p_astar)
                 marginal = obs.p_y_given_a(a, l, 1)
-                if abs(mix - marginal) > tol:
+                if abs(mix - marginal) > FUSION_TOL:
                     return f"trial {i} level {l}: mixture {mix:.9g} vs {marginal:.9g}"
         return None
 

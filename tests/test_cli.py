@@ -36,6 +36,13 @@ class TestExitCodes:
                          "--criterion", "yolo")
         assert code == 1
 
+    def test_compare_needs_counterfactual_criterion(self, e1_law_path, pen3_util_path):
+        code, out, err = run("compare", "--law", e1_law_path, "--utility", pen3_util_path,
+                             "--criterion", "interventionist")
+        assert code == 1 and out == ""
+        assert err == ("usage error: compare needs a counterfactual --criterion: "
+                       "cf-point, cf-minimax-regret, cf-maximin, cf-bayes\n")
+
     def test_missing_input(self):
         code, _, err = run("bounds")
         assert code == 1
@@ -151,6 +158,46 @@ class TestExitCodes:
         code, _, err = run("identify", "--law", str(path))
         assert code == 3
         assert "empty arm" in err
+
+
+# Law-mode commands on e1.law (with surv_pen3.util where a utility is needed):
+# golden-file stem, arguments and exit code.
+LAW_GOLDEN = [
+    ("identify", ["identify"], 0),
+    ("identify_fuse", ["identify", "--fuse"], 0),
+    ("bounds", ["bounds"], 0),
+    ("bounds_fuse", ["bounds", "--fuse"], 0),
+    ("decide_interventionist", ["decide", "--criterion", "interventionist"], 0),
+    ("decide_interventionist_use_astar",
+     ["decide", "--criterion", "interventionist", "--use-astar"], 0),
+    ("decide_cf_point", ["decide", "--criterion", "cf-point"], 3),
+    ("decide_cf_point_fuse", ["decide", "--criterion", "cf-point", "--fuse"], 0),
+    ("decide_cf_minimax_regret", ["decide", "--criterion", "cf-minimax-regret"], 0),
+    ("decide_cf_minimax_regret_fuse",
+     ["decide", "--criterion", "cf-minimax-regret", "--fuse"], 0),
+    ("decide_cf_maximin", ["decide", "--criterion", "cf-maximin"], 0),
+    ("decide_cf_maximin_fuse", ["decide", "--criterion", "cf-maximin", "--fuse"], 0),
+    ("decide_cf_bayes", ["decide", "--criterion", "cf-bayes"], 0),
+    ("decide_cf_bayes_fuse", ["decide", "--criterion", "cf-bayes", "--fuse"], 0),
+    ("compare", ["compare"], 0),
+]
+
+
+@pytest.mark.parametrize("form", ["table", "machine"])
+@pytest.mark.parametrize("stem, argv, exit_code", LAW_GOLDEN, ids=[c[0] for c in LAW_GOLDEN])
+def test_law_mode_output_matches_golden_file(e1_law_path, pen3_util_path,
+                                             stem, argv, exit_code, form):
+    args = [*argv, "--law", e1_law_path]
+    if argv[0] in ("decide", "compare"):
+        args += ["--utility", pen3_util_path]
+    if form == "machine":
+        args.append("--machine")
+        stem += "_machine"
+    with open(os.path.join(DATA_DIR, "law_golden", f"{stem}.txt"), "rb") as fh:
+        want = fh.read()
+    code, out, _ = run(*args)
+    assert code == exit_code
+    assert out.encode("utf-8") == want
 
 
 class TestBounds:

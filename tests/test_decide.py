@@ -33,7 +33,7 @@ class TestInterventionistPolicy:
                               for l in law_e1.levels for a in (0, 1)})
         means = identified_means(observed_from_full(tied))
         report = interventionist_report(means, survival_spec())
-        cell = report.cell(("l0",))
+        [cell] = report.cells
         assert cell.action == 0
         assert cell.tie
 
@@ -55,7 +55,7 @@ class TestCounterfactualPolicy:
         spec = spec_from_delta(-4.0, 1.0, 0.0, 1.0)
         b = exp_bounds(obs_e1, "l0")
         report = counterfactual_report(b, spec, "cf-minimax-regret")
-        cell = report.cell(("l0",))
+        [cell] = report.cells
         assert cell.action == 1
         assert cell.regret[1] == pytest.approx(0.5, abs=1e-9)
         assert cell.regret[0] == pytest.approx(0.7, abs=1e-9)
@@ -77,14 +77,14 @@ class TestCounterfactualPolicy:
             policy = counterfactual_policy(b, spec, criterion)
             assert policy.assignments[("l0",)] == 1, criterion
         report = counterfactual_report(b, spec, "cf-point")
-        assert report.cell(("l0",)).values["gain"] == pytest.approx(0.4, abs=1e-9)
+        assert report.cells[0].values["gain"] == pytest.approx(0.4, abs=1e-9)
 
     def test_degenerate_zero_gain_ties_everywhere(self, law_e1):
         spec = spec_from_delta(0.0, 0.0, 0.0, 0.0)
         b = true_bounds(law_e1, "l0")
         for criterion in ("cf-point", "cf-minimax-regret", "cf-maximin", "cf-bayes"):
             report = counterfactual_report(b, spec, criterion)
-            cell = report.cell(("l0",))
+            [cell] = report.cells
             assert cell.action == 0, criterion
             assert cell.tie, criterion
 
@@ -93,7 +93,7 @@ class TestCounterfactualPolicy:
         spec = spec_from_delta(-4.0, 1.0, 0.0, 1.0)
         b = exp_bounds(obs_e1, "l0")
         report = counterfactual_report(b, spec, "cf-bayes")
-        cell = report.cell(("l0",))
+        [cell] = report.cells
         assert cell.values["gain_mean"] == pytest.approx(0.1, abs=1e-9)
         assert cell.action == 1
 
@@ -135,18 +135,18 @@ class TestCounterfactualPolicy:
 
 class TestPolicyValue:
     def test_constant_policies(self, law_e1):
-        always = Policy({("l0",): 1}, "interventionist", False, "test")
-        never = Policy({("l0",): 0}, "interventionist", False, "test")
+        always = Policy({("l0",): 1}, uses_astar=False)
+        never = Policy({("l0",): 0}, uses_astar=False)
         assert policy_value(law_e1, always) == pytest.approx(0.3, abs=1e-12)
         assert policy_value(law_e1, never) == pytest.approx(0.5, abs=1e-12)
 
     def test_partial_policy(self, law_e1):
-        partial = Policy({}, "interventionist", False, "test")
+        partial = Policy({}, uses_astar=False)
         with pytest.raises(PartialPolicyError, match="no action"):
             policy_value(law_e1, partial)
 
     def test_intention_keyed_policy(self, law_e1):
-        policy = Policy({("l0", 1): 0, ("l0", 0): 1}, "interventionist", True, "test")
+        policy = Policy({("l0", 1): 0, ("l0", 0): 1}, uses_astar=True)
         assert policy_value(law_e1, policy) == pytest.approx(0.2, abs=1e-12)
 
 

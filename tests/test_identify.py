@@ -135,7 +135,6 @@ class TestAttAtu:
 class TestIdentifiedMeans:
     def test_experimental_only(self, obs_e1):
         means = identified_means(obs_e1)
-        assert means.source == "experimental"
         assert not means.has_fused
         assert means.ate("l0") == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(ValueError):
@@ -143,7 +142,7 @@ class TestIdentifiedMeans:
 
     def test_fused(self, obs_e1):
         means = identified_means(obs_e1, fuse=True)
-        assert means.source == "fused"
+        assert means.has_fused
         assert means.fused_mean("l0", 0, 1) == pytest.approx(2 / 3, abs=1e-12)
         assert means.p_astar["l0"] == pytest.approx(0.3, abs=1e-12)
 

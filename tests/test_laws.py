@@ -3,9 +3,8 @@ import dataclasses
 import pytest
 
 from harmbounds import (FileFormatError, LawValidationError, STRATA,
-                        format_law_text, observed_from_full, parse_law_text,
-                        potential_outcome, random_law, stratum_from_outcomes,
-                        stratum_margins, validate_full_law)
+                        observed_from_full, parse_law_text, potential_outcome,
+                        random_law, stratum_margins, validate_full_law)
 from harmbounds.laws import STRATUM_OUTCOMES
 
 from conftest import make_law_e1
@@ -16,7 +15,6 @@ def test_stratum_outcome_bijection():
     for s in STRATA:
         pair = (potential_outcome(s, 1), potential_outcome(s, 0))
         assert STRATUM_OUTCOMES[s] == pair
-        assert stratum_from_outcomes(*pair) == s
         pairs.add(pair)
     assert pairs == {(1, 0), (0, 1), (1, 1), (0, 0)}
 
@@ -152,16 +150,18 @@ class TestStratumMargins:
             assert ate == pytest.approx(probs[0] - probs[1], abs=1e-12)
 
 
+@pytest.fixture
+def e1_text(e1_law_path) -> str:
+    with open(e1_law_path) as fh:
+        return fh.read()
+
+
 class TestLawFiles:
-    def test_round_trip(self, law_e1):
-        assert parse_law_text(format_law_text(law_e1)) == law_e1
+    def test_fixture_file_matches_fixture(self, e1_text, law_e1):
+        assert parse_law_text(e1_text) == law_e1
 
-    def test_fixture_file_matches_fixture(self, e1_law_path, law_e1):
-        with open(e1_law_path) as fh:
-            assert parse_law_text(fh.read()) == law_e1
-
-    def test_comments_and_blank_lines_ignored(self, law_e1):
-        text = "# header\n\n" + format_law_text(law_e1) + "\n# tail\n"
+    def test_comments_and_blank_lines_ignored(self, e1_text, law_e1):
+        text = "# header\n\n" + e1_text + "\n# tail\n"
         assert parse_law_text(text) == law_e1
 
     @pytest.mark.parametrize("mutate, message", [
@@ -172,19 +172,20 @@ class TestLawFiles:
         (lambda t: t.replace("L l0 1.0", "L l0 one"), "not a number"),
         (lambda t: t.replace("TRIAL", "TREAL"), "unknown record kind"),
         (lambda t: t + "S l0 0 0.1 0.2 0.3 0.4\n", "duplicate S record"),
+        (lambda t: t + "TRIAL l0 0.9 0.1\n", "line 7: duplicate TRIAL record for 'l0'"),
+        (lambda t: t + "ASTAR l0 0.5\n", "line 7: duplicate ASTAR record for 'l0'"),
     ])
-    def test_malformed_files(self, law_e1, mutate, message):
-        text = format_law_text(law_e1)
+    def test_malformed_files(self, e1_text, mutate, message):
         with pytest.raises(FileFormatError, match=message):
-            parse_law_text(mutate(text))
+            parse_law_text(mutate(e1_text))
 
-    def test_error_carries_line_number(self, law_e1):
-        text = format_law_text(law_e1).replace("ASTAR l0 0.3", "ASTAR l0 x")
-        with pytest.raises(FileFormatError, match="line 3"):
+    def test_error_carries_line_number(self, e1_text):
+        text = e1_text.replace("ASTAR l0 0.3", "ASTAR l0 x")
+        with pytest.raises(FileFormatError, match="line 4"):
             parse_law_text(text)
 
-    def test_validation_applied_after_parse(self, law_e1):
-        text = format_law_text(law_e1).replace(
+    def test_validation_applied_after_parse(self, e1_text):
+        text = e1_text.replace(
             "S l0 1 0.3333333333333333 0.0 0.6666666666666666 0.0",
             "S l0 1 0.9 0.9 0.0 0.0")
         with pytest.raises(LawValidationError, match="sums to 1.8"):
