@@ -36,12 +36,27 @@ from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw,
                    observed_from_full, parse_law_text, potential_outcome,
                    read_law_file, stratum_margins, validate_full_law,
                    validate_observed_law)
-from .simulate import (Dataset, estimate_observed_law, format_dataset_csv,
-                       parse_dataset_csv, random_law, read_dataset_file,
-                       sample_dataset)
 from .utility import (UtilitySpec, expected_cf_utility_diff, expected_int_utility,
                       gain_equality_diff, gain_equality_holds, harm_penalized_gamma,
                       induced_gamma, parse_utility_text, read_utility_file,
                       survival_spec)
 
 __version__ = "0.1.0"
+
+# Names from :mod:`harmbounds.simulate`, which loads numpy: they are imported
+# on first use (PEP 562), so the law-mode layers and CLI commands start
+# without numpy.
+_SIMULATE_NAMES = ("Dataset", "estimate_observed_law", "format_dataset_csv",
+                   "parse_dataset_csv", "random_law", "read_dataset_file",
+                   "sample_dataset")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_SIMULATE_NAMES])

@@ -14,6 +14,7 @@ request.  Any other exception is an internal fault and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -25,9 +26,13 @@ from .errors import (FileFormatError, GainEqualityError, GammaMissingError,
                      NotPointIdentifiedError, PartialPolicyError, PositivityError)
 from .identify import identified_means
 from .laws import STRATA, observed_from_full, read_law_file
-from .simulate import estimate_observed_law, format_dataset_csv, read_dataset_file, sample_dataset
 from .utility import UtilitySpec, read_utility_file
-from .verify import PROPS
+
+# ``simulate`` and ``verify`` load numpy, so only the commands that use them
+# import them, and law-mode commands start without numpy.  ``verify --props``
+# names the sweeps here for the same reason; a test keeps this equal to
+# ``tuple(verify.PROPS)``.
+_VERIFY_PROPS = ("s3", "s4", "s5", "sharpness", "fusion", "excess")
 
 _USAGE_EXIT = 1
 _FORMAT_EXIT = 2
@@ -57,7 +62,9 @@ def _machine_line(kind: str, **fields) -> str:
     return "\t".join(parts)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``harmbounds`` parser, built once per process and shared by every :func:`main` call."""
     parser = _Parser(prog="harmbounds",
                      description="principal-stratum bounds and treatment choice "
                                  "from trial and observational data")
@@ -99,7 +106,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=text)
         common(p)
         if name == "verify":
-            p.add_argument("--props", help=f"comma-separated subset of: {', '.join(PROPS)}")
+            p.add_argument("--props",
+                           help=f"comma-separated subset of: {', '.join(_VERIFY_PROPS)}")
         p.set_defaults(func=func)
     return parser
 
@@ -110,16 +118,19 @@ def _load_observed(args):
     if args.law:
         return observed_from_full(read_law_file(args.law))
     if args.data:
-        return estimate_observed_law(read_dataset_file(args.data), smoothing=args.smoothing)
+        from . import simulate
+        return simulate.estimate_observed_law(simulate.read_dataset_file(args.data),
+                                              smoothing=args.smoothing)
     raise UsageError("an input is required: --law PATH or --data PATH")
 
 
 def cmd_simulate(args) -> int:
     if not args.law:
         raise UsageError("simulate requires --law")
+    from . import simulate
     law = read_law_file(args.law)
-    data = sample_dataset(law, args.n, args.seed, oracle=args.oracle)
-    text = format_dataset_csv(data)
+    data = simulate.sample_dataset(law, args.n, args.seed, oracle=args.oracle)
+    text = simulate.format_dataset_csv(data)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -247,7 +258,8 @@ def cmd_decide(args) -> int:
     spec = read_utility_file(args.utility)
     obs = _load_observed(args)
     if args.criterion == "interventionist":
-        means = identified_means(obs, fuse=args.use_astar or args.fuse, tol=args.tol)
+        # Only the A*-conditioned report reads the fused means.
+        means = identified_means(obs, fuse=args.use_astar, tol=args.tol)
         report = interventionist_report(means, spec, use_astar=args.use_astar)
     else:
         if args.use_astar:
@@ -289,6 +301,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import PROPS
     props = [p.strip() for p in args.props.split(",")] if args.props else list(PROPS)
     unknown = [p for p in props if p not in PROPS]
     if unknown:

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
+from harmbounds import cli
 from harmbounds.cli import main
 from harmbounds.verify import PROPS
 
@@ -183,21 +186,63 @@ LAW_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("form", ["table", "machine"])
-@pytest.mark.parametrize("stem, argv, exit_code", LAW_GOLDEN, ids=[c[0] for c in LAW_GOLDEN])
-def test_law_mode_output_matches_golden_file(e1_law_path, pen3_util_path,
-                                             stem, argv, exit_code, form):
-    args = [*argv, "--law", e1_law_path]
+def golden_case(stem, argv, form, law_path, util_path):
+    """Full argument list and golden stdout bytes of one ``LAW_GOLDEN`` entry."""
+    args = [*argv, "--law", law_path]
     if argv[0] in ("decide", "compare"):
-        args += ["--utility", pen3_util_path]
+        args += ["--utility", util_path]
     if form == "machine":
         args.append("--machine")
         stem += "_machine"
     with open(os.path.join(DATA_DIR, "law_golden", f"{stem}.txt"), "rb") as fh:
-        want = fh.read()
+        return args, fh.read()
+
+
+@pytest.mark.parametrize("form", ["table", "machine"])
+@pytest.mark.parametrize("stem, argv, exit_code", LAW_GOLDEN, ids=[c[0] for c in LAW_GOLDEN])
+def test_law_mode_output_matches_golden_file(e1_law_path, pen3_util_path,
+                                             stem, argv, exit_code, form):
+    args, want = golden_case(stem, argv, form, e1_law_path, pen3_util_path)
     code, out, _ = run(*args)
     assert code == exit_code
     assert out.encode("utf-8") == want
+
+
+def test_reused_parser_keeps_no_state_between_calls(e1_law_path, pen3_util_path):
+    # Every golden command twice, the second pass reversed (so `bounds` runs
+    # right after `bounds --fuse`), with a usage error, a --help exit and a
+    # bare call between each two commands, all in one process.
+    cases = [(*golden_case(stem, argv, form, e1_law_path, pen3_util_path), exit_code)
+             for form in ("table", "machine") for stem, argv, exit_code in LAW_GOLDEN]
+    cli.build_parser.cache_clear()
+
+    def usage_error():
+        code, out, err = run("decide", "--law", e1_law_path, "--utility", pen3_util_path,
+                             "--criterion", "yolo")
+        assert (code, out) == (1, "")
+        return err
+
+    def help_exit():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["bounds", "--help"])
+        assert exc.value.code == 0
+        return out.getvalue()
+
+    def bare_call():
+        code, out, err = run()
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: harmbounds")
+        return err
+
+    between = [usage_error, help_exit, bare_call]
+    first = {f: f() for f in between}
+    for i, (args, want, exit_code) in enumerate(cases + cases[::-1]):
+        code, out, _ = run(*args)
+        assert (code, out.encode("utf-8")) == (exit_code, want), args
+        f = between[i % 3]
+        assert f() == first[f]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 class TestBounds:
@@ -263,6 +308,16 @@ class TestDecide:
                    for line in out.splitlines()]
         by_astar = {r["astar"]: r["action"] for r in records}
         assert by_astar == {"1": "0", "0": "1"}
+
+    def test_interventionist_fuse_needs_no_fusion_without_use_astar(self, e1_law_path,
+                                                                    pen3_util_path):
+        # Without --use-astar the report reads only the trial means, so a
+        # fusion that fails at tol 0 must not refuse the decision.
+        args = ("decide", "--law", e1_law_path, "--utility", pen3_util_path,
+                "--criterion", "interventionist", "--tol", "0")
+        code, out, _ = run(*args)
+        assert code == 0 and "action" in out
+        assert run(*args, "--fuse") == (code, out, "")
 
     def test_use_astar_requires_interventionist(self, e1_law_path, pen3_util_path):
         code, _, err = run("decide", "--law", e1_law_path, "--utility", pen3_util_path,
@@ -394,12 +449,29 @@ class TestVerify:
         with pytest.raises(ValueError, match="internal fault"):
             run("verify", "--props", "s3", "--trials", "5")
 
+    def test_props_help_names_every_sweep(self):
+        assert cli._VERIFY_PROPS == tuple(PROPS)
+
     def test_console_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "harmbounds.cli", "verify", "--props", "fusion",
              "--trials", "20", "--seed", "4"],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "fusion: 20/20 pass"
+
+
+def test_law_mode_commands_do_not_load_numpy(e1_law_path, pen3_util_path):
+    commands = [["identify", "--fuse"], ["bounds", "--fuse"],
+                ["decide", "--utility", pen3_util_path, "--criterion", "cf-bayes", "--fuse"],
+                ["decide", "--utility", pen3_util_path, "--criterion", "interventionist",
+                 "--use-astar"],
+                ["compare", "--utility", pen3_util_path]]
+    script = ("import contextlib, io, sys\n"
+              "from harmbounds.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv + ['--law', {e1_law_path!r}]) for argv in {commands!r}]\n"
+              "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0] False\n"
