@@ -2,18 +2,31 @@
 
 All randomness flows through numpy's PCG64 generator seeded explicitly, so
 every artifact is reproducible from ``(seed, arguments)`` alone; datasets
-record the seed they were drawn with.
+record the seed they were drawn with.  A sampled dataset is a function of
+``(law, n, seed, oracle)`` alone.
 
 Sampling follows the causal ordering of the model: level, then trial
 participation, then intention (independent of participation within a
 level), then stratum, then assignment (a coin inside the trial, the
 intention outside), then the outcome the stratum dictates for the
-received treatment.
+received treatment.  Each step is one generator call over all rows, in
+that order: ``choice`` for the level, then ``random`` for R, A*, the
+stratum uniform and the coin.
+
+The stratum is read from a ``(2k, 3)`` table of cut points: row
+``level * 2 + astar`` holds the first three cumulative sums of that
+group's stratum vector, and a row's stratum is one plus the number of
+cut points its uniform reaches.  The fourth sum is left out: the sums
+never decrease, so a uniform that reaches it has reached the first three,
+and its row is in stratum 4 either way.  The outcome is read from a table indexed
+by received treatment and stratum, so no per-row temporary is wider
+than one column.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -23,15 +36,16 @@ from .errors import FileFormatError, PositivityError
 from .laws import FullLaw, ObservedLaw, validate_full_law, validate_observed_law
 
 
-def random_law(seed: int, n_levels: int = 1, confounding: bool = True) -> FullLaw:
+def random_law(seed: int, n_levels: int = 1) -> FullLaw:
     """A random valid full law, deterministic in ``seed``.
 
     Stratum vectors are four independent positive weights normalized to
     sum to one, kept away from the simplex boundary so conditional
     quantities stay well defined in sweeps; intention, participation and
     allocation probabilities are likewise floored so no group a plug-in
-    estimator conditions on is ever near-empty.  With ``confounding`` off
-    the stratum law is forced identical across intention arms.
+    estimator conditions on is ever near-empty.  Each level draws its
+    A* = 1 stratum vector, then its A* = 0 one, so intention confounds the
+    response type.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
@@ -52,13 +66,8 @@ def random_law(seed: int, n_levels: int = 1, confounding: bool = True) -> FullLa
 
     p_strata: dict[tuple[str, int], tuple[float, float, float, float]] = {}
     for l in levels:
-        if confounding:
-            p_strata[(l, 1)] = strata_vector()
-            p_strata[(l, 0)] = strata_vector()
-        else:
-            shared = strata_vector()
-            p_strata[(l, 1)] = shared
-            p_strata[(l, 0)] = shared
+        p_strata[(l, 1)] = strata_vector()
+        p_strata[(l, 0)] = strata_vector()
 
     law = FullLaw(levels=levels, p_level=p_level, p_astar=p_astar,
                   p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
@@ -93,6 +102,12 @@ class Dataset:
         return self.astar is not None
 
 
+#: Outcome ``Y`` at flat index ``a * 5 + s``: ``Y^1`` is 1 in strata 1 and 3,
+#: ``Y^0`` in strata 2 and 3 (index ``s = 0`` is unused).
+_OUTCOME = np.array([0, 0, 1, 1, 0,
+                     0, 1, 0, 1, 0], dtype=np.int8)
+
+
 def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
     """Draw ``n`` independent rows from the observed-data law of ``law``."""
     validate_full_law(law)
@@ -107,24 +122,24 @@ def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dat
     p_r1 = np.array([law.p_r1[l] for l in levels])
     p_astar = np.array([law.p_astar[l] for l in levels])
     p_treat = np.array([law.p_treat[l] for l in levels])
-    # cumulative stratum laws indexed [level, astar, stratum]
-    cum = np.cumsum(np.array([[law.p_strata[(l, astar)] for astar in (0, 1)]
-                              for l in levels]), axis=2)
+    # first three cumulative stratum cut points of each group level * 2 + astar
+    cut = np.cumsum([law.p_strata[(l, astar)] for l in levels for astar in (0, 1)],
+                    axis=1)[:, :3]
 
     li = rng.choice(k, size=n, p=p_level)
-    r = (rng.random(n) < p_r1[li]).astype(np.int8)
-    astar = (rng.random(n) < p_astar[li]).astype(np.int8)
+    trial = rng.random(n) < p_r1[li]
+    astar = (rng.random(n) < p_astar[li]).view(np.int8)
     u_s = rng.random(n)
-    rows = cum[li, astar.astype(int)]
-    s = 1 + np.minimum((u_s[:, None] >= rows).sum(axis=1), 3).astype(np.int8)
-    coin = (rng.random(n) < p_treat[li]).astype(np.int8)
-    a = np.where(r == 1, coin, astar).astype(np.int8)
+    group = li * 2 + astar
+    s = np.ones(n, dtype=np.int8)
+    for cut_j in cut.T:
+        s += u_s >= cut_j[group]
+    del u_s, group  # freed before the coin draw, so the peak holds two columns fewer
+    coin = (rng.random(n) < p_treat[li]).view(np.int8)
+    a = np.where(trial, coin, astar)
+    y = _OUTCOME[a * 5 + s]
 
-    y1 = np.isin(s, (1, 3)).astype(np.int8)
-    y0 = np.isin(s, (2, 3)).astype(np.int8)
-    y = np.where(a == 1, y1, y0).astype(np.int8)
-
-    return Dataset(levels=levels, r=r, level_idx=li.astype(np.int64), a=a, y=y,
+    return Dataset(levels=levels, r=trial.view(np.int8), level_idx=li, a=a, y=y,
                    astar=astar if oracle else None, s=s if oracle else None, seed=seed)
 
 
@@ -135,8 +150,8 @@ def estimate_observed_law(data: Dataset, smoothing: float = 0.0) -> ObservedLaw:
     ``(level, r)`` block before normalizing.  With zero smoothing, an
     empty block or an empty trial arm is an error naming the cell.
     """
-    if smoothing < 0.0:
-        raise ValueError("smoothing must be non-negative")
+    if not (math.isfinite(smoothing) and smoothing >= 0.0):
+        raise ValueError("smoothing must be finite and non-negative")
     levels = data.levels
     k = len(levels)
     # flat code over (level, r, y, a)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -22,6 +23,12 @@ def make_law_e1() -> FullLaw:
         p_r1={"l0": 0.5},
         p_treat={"l0": 0.5},
     )
+
+
+def unconfounded(law: FullLaw) -> FullLaw:
+    """``law`` with each level's A* = 1 stratum block copied onto A* = 0."""
+    return dataclasses.replace(law, p_strata={(l, astar): law.p_strata[(l, 1)]
+                                              for l in law.levels for astar in (1, 0)})
 
 
 @pytest.fixture

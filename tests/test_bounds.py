@@ -12,6 +12,8 @@ from harmbounds.bounds import family_bounds
 from harmbounds.verify import (polytope_vertices, sharp_bounds_lp, strata_system,
                                stratum_target)
 
+from conftest import unconfounded
+
 
 class TestExpBounds:
     def test_fixture(self, obs_e1):
@@ -65,7 +67,7 @@ class TestFusedLowerBound:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_unconfounded_collapses_to_experimental(self, seed):
-        law = random_law(seed, confounding=False)
+        law = unconfounded(random_law(seed))
         obs = observed_from_full(law)
         _, _, tau0 = stratum_margins(law, "l0")
         assert fused_lower_bound_s1(obs, "l0") == pytest.approx(max(0.0, tau0), abs=1e-12)
@@ -290,7 +292,7 @@ class TestImprovement:
         assert result.atu == pytest.approx(-3 / 7, abs=1e-12)
 
     def test_unconfounded_never_improves(self):
-        law = random_law(3, confounding=False)
+        law = unconfounded(random_law(3))
         result = improvement_test(observed_from_full(law), "l0")
         assert not result.improves
         assert result.att == pytest.approx(result.atu, abs=1e-12)

@@ -366,6 +366,25 @@ class TestSimulatePipeline:
         second = run("simulate", "--law", e1_law_path, "--n", "50", "--seed", "7")
         assert first == second
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+    def test_simulate_matches_golden_file(self, e1_law_path, tmp_path, oracle, to_file):
+        # Recorded before the sampler read strata from its cut-point table.
+        args = ["simulate", "--law", e1_law_path, "--n", "400", "--seed", "7"]
+        name = "e1_n400_seed7.csv"
+        if oracle:
+            args.append("--oracle")
+            name = "e1_n400_seed7_oracle.csv"
+        out_path = tmp_path / "d.csv"
+        if to_file:
+            args += ["--out", str(out_path)]
+        with open(os.path.join(DATA_DIR, "simulate_golden", name), "rb") as fh:
+            want = fh.read()
+        code, out, _ = run(*args)
+        assert code == 0
+        got = out_path.read_bytes() if to_file else out.encode("utf-8")
+        assert got == want
+
     def test_oracle_columns(self, e1_law_path):
         code, out, _ = run("simulate", "--law", e1_law_path, "--n", "10",
                            "--seed", "1", "--oracle")

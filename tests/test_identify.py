@@ -7,6 +7,8 @@ from harmbounds import (IncompatibleLawsError, PositivityError, att_atu,
                         identified_means, observed_from_full, parse_law_text,
                         random_law)
 
+from conftest import unconfounded
+
 
 class TestExperimentalMeans:
     def test_fixture(self, obs_e1):
@@ -115,7 +117,7 @@ class TestAttAtu:
         assert atu == pytest.approx(-3 / 7, abs=1e-12)
 
     def test_unconfounded_collapses_to_marginal_effect(self):
-        law = random_law(11, n_levels=2, confounding=False)
+        law = unconfounded(random_law(11, n_levels=2))
         obs = observed_from_full(law)
         for l in law.levels:
             att, atu = att_atu(obs, l)

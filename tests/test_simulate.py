@@ -1,14 +1,19 @@
 import dataclasses
+import hashlib
+import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmbounds import (Dataset, FileFormatError, PositivityError, att_atu,
+from harmbounds import (Dataset, FileFormatError, FullLaw, PositivityError, att_atu,
                         exp_potential_mean, estimate_observed_law,
                         format_dataset_csv, fused_potential_mean,
                         observed_from_full, parse_dataset_csv, potential_outcome,
                         random_law, sample_dataset, validate_full_law)
+
+from conftest import DATA_DIR, unconfounded
 
 
 class TestRandomLaw:
@@ -25,7 +30,7 @@ class TestRandomLaw:
             validate_full_law(random_law(seed, n_levels=1 + seed % 4))
 
     def test_no_confounding_equalizes_intention_arms(self):
-        law = random_law(5, n_levels=2, confounding=False)
+        law = unconfounded(random_law(5, n_levels=2))
         for l in law.levels:
             assert law.p_strata[(l, 0)] == law.p_strata[(l, 1)]
         obs = observed_from_full(law)
@@ -35,6 +40,32 @@ class TestRandomLaw:
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError):
             random_law(1, n_levels=0)
+
+
+@st.composite
+def stratum_laws(draw):
+    """A 1-3 level law: a ``random_law``, or a dyadic law with two exact zeros
+    in every stratum block, placed independently in each (level, A*) group."""
+    n_levels = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return random_law(draw(st.integers(0, 2**32 - 1)), n_levels)
+    levels = tuple(f"l{i}" for i in range(n_levels))
+    weights = [draw(st.integers(1, 4)) for _ in levels]
+    p_strata = {}
+    for l in levels:
+        for astar in (1, 0):
+            first, second = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                                          unique=True))
+            k = draw(st.integers(1, 63))
+            block = [0.0] * 4
+            block[first], block[second] = k / 64, (64 - k) / 64
+            p_strata[(l, astar)] = tuple(block)
+    dyadic = st.integers(13, 51).map(lambda k: k / 64)
+    return FullLaw(levels=levels,
+                   p_level={l: w / sum(weights) for l, w in zip(levels, weights)},
+                   p_astar={l: draw(dyadic) for l in levels}, p_strata=p_strata,
+                   p_r1={l: draw(dyadic) for l in levels},
+                   p_treat={l: draw(dyadic) for l in levels})
 
 
 class TestSampling:
@@ -75,6 +106,36 @@ class TestSampling:
             se = np.sqrt(expected * (1 - expected) / n_group)
             assert abs(freq - expected) <= 3 * se + 1e-9, f"stratum {s}"
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(law=stratum_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_stratum_frequencies_in_every_group(self, law, seed):
+        data = sample_dataset(law, 50_000, seed, oracle=True)
+        for i, l in enumerate(law.levels):
+            for astar in (0, 1):
+                group = (data.level_idx == i) & (data.astar == astar)
+                n_group = int(group.sum())
+                counts = np.bincount(data.s[group], minlength=5)[1:]
+                for s, (count, p) in enumerate(zip(counts, law.p_strata[(l, astar)]), 1):
+                    where = f"stratum {s} of level {l}, A*={astar}"
+                    if p == 0.0:
+                        assert count == 0, where
+                    else:
+                        se = math.sqrt(p * (1 - p) / n_group)
+                        assert abs(count / n_group - p) <= 5 * se, where
+
+    def test_draws_match_golden_digests(self):
+        # Recorded before the sampler read strata from its cut-point table.
+        path = os.path.join(DATA_DIR, "simulate_golden", "random_law3_n100000_oracle.sha256")
+        with open(path, encoding="utf-8") as fh:
+            digests = [line.split() for line in fh if not line.startswith("#")]
+        assert len(digests) == 2
+        for seed, digest in digests:
+            data = sample_dataset(random_law(int(seed), 3), 10**5, int(seed), oracle=True)
+            assert [c.dtype for c in (data.r, data.a, data.y, data.astar, data.s)] == [np.int8] * 5
+            assert data.level_idx.dtype == np.int64
+            text = format_dataset_csv(data)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
 
 class TestEstimation:
     def test_recovers_push_forward(self, law_e1, obs_e1):
@@ -110,6 +171,12 @@ class TestEstimation:
         data = sample_dataset(law_e1, 10, seed=8)
         with pytest.raises(ValueError):
             estimate_observed_law(data, smoothing=-0.5)
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
+    def test_non_finite_smoothing_rejected(self, law_e1, smoothing):
+        data = sample_dataset(law_e1, 100, seed=1)
+        with pytest.raises(ValueError, match="smoothing must be finite and non-negative"):
+            estimate_observed_law(data, smoothing=smoothing)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_end_to_end_consistency(self, seed):
