@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: ``simulate``, ``identify``, ``bounds``, ``decide``,
-``compare``, ``verify``.  Reports are plain-text tables with fixed
-6-decimal formatting; ``--machine`` switches to one record per line of
-tab-separated ``key:value`` pairs.  Output is byte-identical for identical
-arguments, seeds and input files.
+``compare``, ``verify``.  Each takes only the options it reads (the table
+in ``build_parser``); any other option is a usage error.  Reports are
+plain-text tables with fixed 6-decimal formatting; ``--machine`` switches to
+one record per line of tab-separated ``key:value`` pairs.  Output is
+byte-identical for identical arguments, seeds and input files.
 
 Exit codes: 0 success, 1 usage error (or failed verification sweep),
 2 validation or file-format error, 3 identification impossible for the
@@ -62,6 +63,34 @@ def _machine_line(kind: str, **fields) -> str:
     return "\t".join(parts)
 
 
+# Each option's add_argument keywords, written once; build_parser picks each subcommand's.
+_OPTIONS = {
+    "--law": dict(help="law specification file"),
+    "--data": dict(help="dataset CSV file"),
+    "--utility": dict(help="utility specification file"),
+    "--seed": dict(type=int, default=0),
+    "--n": dict(type=int, default=1000),
+    "--smoothing": dict(type=float, default=0.0,
+                        help="add-lambda smoothing for dataset estimation"),
+    "--fuse": dict(action="store_true",
+                   help="use the observational block in addition to the trial block"),
+    "--use-astar": dict(action="store_true",
+                        help="condition decisions on the intention variable (needs fusion)"),
+    "--criterion": dict(choices=CRITERIA),
+    "--trials": dict(type=int, default=100),
+    "--oracle": dict(action="store_true",
+                     help="emit hidden intention and stratum columns when simulating"),
+    "--machine": dict(action="store_true",
+                      help="tab-separated key:value records instead of tables"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="model-compatibility slack for fused identification "
+                       "(raise for finite-sample inputs)"),
+    "--out": dict(help="write the CSV here instead of standard output"),
+    "--props": dict(help=f"comma-separated subset of: {', '.join(_VERIFY_PROPS)}"),
+}
+_ANALYSIS_OPTIONS = ("--law", "--data", "--smoothing", "--fuse", "--tol", "--machine")
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The ``harmbounds`` parser, built once per process and shared by every :func:`main` call."""
@@ -69,45 +98,24 @@ def build_parser() -> _Parser:
                      description="principal-stratum bounds and treatment choice "
                                  "from trial and observational data")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--law", help="law specification file")
-        p.add_argument("--data", help="dataset CSV file")
-        p.add_argument("--utility", help="utility specification file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--smoothing", type=float, default=0.0,
-                       help="add-lambda smoothing for dataset estimation")
-        p.add_argument("--fuse", action="store_true",
-                       help="use the observational block in addition to the trial block")
-        p.add_argument("--use-astar", action="store_true", dest="use_astar",
-                       help="condition decisions on the intention variable (needs fusion)")
-        p.add_argument("--criterion", choices=CRITERIA)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--oracle", action="store_true",
-                       help="emit hidden intention and stratum columns when simulating")
-        p.add_argument("--machine", action="store_true",
-                       help="tab-separated key:value records instead of tables")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="model-compatibility slack for fused identification "
-                            "(raise for finite-sample inputs)")
-
-    p_sim = sub.add_parser("simulate", help="sample a dataset from a law")
-    common(p_sim)
-    p_sim.add_argument("--out", help="write the CSV here instead of standard output")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    for name, func, text in (
-            ("identify", cmd_identify, "identified potential-outcome means"),
-            ("bounds", cmd_bounds, "stratum-probability intervals"),
-            ("decide", cmd_decide, "treatment choice under a criterion"),
-            ("compare", cmd_compare, "outcome cost of stratum-level decision making"),
-            ("verify", cmd_verify, "brute-force property sweeps over random laws")):
+    # name, handler, help, required options, other options
+    for name, func, text, required, optional in (
+            ("simulate", cmd_simulate, "sample a dataset from a law",
+             ("--law",), ("--seed", "--n", "--oracle", "--out")),
+            ("identify", cmd_identify, "identified potential-outcome means",
+             (), _ANALYSIS_OPTIONS),
+            ("bounds", cmd_bounds, "stratum-probability intervals", (), _ANALYSIS_OPTIONS),
+            ("decide", cmd_decide, "treatment choice under a criterion",
+             ("--utility", "--criterion"), _ANALYSIS_OPTIONS + ("--use-astar",)),
+            ("compare", cmd_compare, "outcome cost of stratum-level decision making",
+             ("--law", "--utility"), ("--criterion", "--machine")),
+            ("verify", cmd_verify, "brute-force property sweeps over random laws",
+             (), ("--props", "--trials", "--seed", "--machine"))):
         p = sub.add_parser(name, help=text)
-        common(p)
-        if name == "verify":
-            p.add_argument("--props",
-                           help=f"comma-separated subset of: {', '.join(_VERIFY_PROPS)}")
+        for flag in required:
+            p.add_argument(flag, required=True, **_OPTIONS[flag])
+        for flag in optional:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(func=func)
     return parser
 
@@ -125,8 +133,6 @@ def _load_observed(args):
 
 
 def cmd_simulate(args) -> int:
-    if not args.law:
-        raise UsageError("simulate requires --law")
     from . import simulate
     law = read_law_file(args.law)
     data = simulate.sample_dataset(law, args.n, args.seed, oracle=args.oracle)
@@ -251,10 +257,6 @@ def _render_report(report: DecisionReport, machine: bool) -> list[str]:
 
 
 def cmd_decide(args) -> int:
-    if not args.utility:
-        raise UsageError("decide requires --utility")
-    if not args.criterion:
-        raise UsageError("decide requires --criterion")
     spec = read_utility_file(args.utility)
     obs = _load_observed(args)
     if args.criterion == "interventionist":
@@ -274,10 +276,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not args.law:
-        raise UsageError("compare requires --law (policy evaluation needs the full law)")
-    if not args.utility:
-        raise UsageError("compare requires --utility")
     criterion = args.criterion or "cf-point"
     if criterion == "interventionist":
         raise UsageError("compare needs a counterfactual --criterion: "
@@ -325,12 +323,13 @@ def cmd_verify(args) -> int:
 
 
 def _check_numeric_options(args) -> None:
+    """Range-check the numeric options the subcommand takes; a missing one reads as in range."""
     for name in ("tol", "smoothing"):
-        value = getattr(args, name)
+        value = getattr(args, name, 0.0)
         if not (math.isfinite(value) and value >= 0.0):
             raise UsageError(f"--{name} must be finite and non-negative, got {value!r}")
     for name, least in (("n", 1), ("trials", 1), ("seed", 0)):
-        value = getattr(args, name)
+        value = getattr(args, name, least)
         if value < least:
             raise UsageError(f"--{name} must be at least {least}, got {value}")
 

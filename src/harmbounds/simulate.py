@@ -208,7 +208,9 @@ def format_dataset_csv(data: Dataset) -> str:
     for (name, values), column in zip(fields, columns):
         if np.any((column < values[0]) | (column > values[-1])):
             raise ValueError(f"column {name} contains values outside {tuple(values)}")
-        code = code * len(values) + (column - values[0])
+        code *= len(values)
+        code += column
+        code -= values[0]
     texts = [[str(v) for v in values] for _, values in fields]
     texts[1] = data.levels
     table = np.array([",".join(cell) + "\n" for cell in itertools.product(*texts)],

@@ -143,9 +143,28 @@ class TestExitCodes:
                      id="trials=-5"),
     ])
     def test_numeric_options_are_range_checked(self, e1_law_path, argv, message):
-        code, out, err = run(*argv, "--law", e1_law_path)
+        if argv[0] != "verify":  # verify takes no --law
+            argv = [*argv, "--law", e1_law_path]
+        code, out, err = run(*argv)
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--fuse", "--use-astar", "--tol", "0"],
+        ["bounds", "--criterion", "cf-bayes", "--oracle"],
+    ], ids=["compare", "bounds"])
+    def test_ignored_options_are_refused(self, e1_law_path, pen3_util_path, argv):
+        code, out, err = run(*argv, "--law", e1_law_path, "--utility", pen3_util_path)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: unrecognized arguments: ")
+
+    @pytest.mark.parametrize("missing", ["--utility", "--criterion"])
+    def test_decide_requires_utility_and_criterion(self, e1_law_path, pen3_util_path, missing):
+        argv = ["--law", e1_law_path, "--utility", pen3_util_path, "--criterion", "cf-maximin"]
+        i = argv.index(missing)
+        code, out, err = run("decide", *argv[:i], *argv[i + 2:])
+        assert code == 1 and out == ""
+        assert err == f"usage error: the following arguments are required: {missing}\n"
 
     def test_non_utf8_law_file_is_format_error(self, tmp_path):
         path = tmp_path / "latin1.law"
@@ -161,6 +180,40 @@ class TestExitCodes:
         code, _, err = run("identify", "--law", str(path))
         assert code == 3
         assert "empty arm" in err
+
+
+# The options each subcommand takes (34 pairs); every other option is refused.
+_ANALYSIS = ("--law", "--data", "--smoothing", "--fuse", "--tol", "--machine")
+ACCEPTED = {
+    "simulate": ("--law", "--seed", "--n", "--oracle", "--out"),
+    "identify": _ANALYSIS,
+    "bounds": _ANALYSIS,
+    "decide": (*_ANALYSIS, "--utility", "--criterion", "--use-astar"),
+    "compare": ("--law", "--utility", "--criterion", "--machine"),
+    "verify": ("--props", "--trials", "--seed", "--machine"),
+}
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_each_subcommand_takes_exactly_its_options(e1_law_path, pen3_util_path, command):
+    values = {"--law": e1_law_path, "--data": "d.csv", "--utility": pen3_util_path,
+              "--seed": "3", "--n": "5", "--smoothing": "0.5", "--criterion": "cf-maximin",
+              "--trials": "2", "--tol": "0.25", "--out": "d.csv", "--props": "s3"}
+    flags = ("--fuse", "--use-astar", "--oracle", "--machine", *values)
+    base = {"simulate": ["--law", e1_law_path],
+            "decide": ["--utility", pen3_util_path, "--criterion", "cf-point"],
+            "compare": ["--law", e1_law_path, "--utility", pen3_util_path]}.get(command, [])
+    assert sum(map(len, ACCEPTED.values())) == 34 and len(flags) == 15
+    for flag in flags:
+        given = [flag] + ([values[flag]] if flag in values else [])
+        if flag in ACCEPTED[command]:
+            args = cli.build_parser().parse_args([command, *base, *given])
+            dest = flag[2:].replace("-", "_")
+            assert str(getattr(args, dest)) == values.get(flag, "True"), flag
+        else:
+            code, out, err = run(command, *base, *given)
+            assert (code, out) == (1, ""), flag
+            assert err == f"usage error: unrecognized arguments: {' '.join(given)}\n"
 
 
 # Law-mode commands on e1.law (with surv_pen3.util where a utility is needed):
