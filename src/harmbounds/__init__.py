@@ -2,27 +2,26 @@
 
 The package splits into small pure layers:
 
-* :mod:`harmbounds.laws` - full and observed probability laws, validation,
-  the push-forward between them, and the law file format;
+* :mod:`harmbounds.laws` - full and observed probability laws (each
+  checks itself when built), the push-forward between them, and the law
+  file format;
 * :mod:`harmbounds.identify` - potential-outcome means from trial data and
   from fused trial + observational data;
 * :mod:`harmbounds.bounds` - sharp interval identification of stratum
-  probabilities in closed form, treatment regimes, and the
-  bound-improvement test;
+  probabilities in closed form;
 * :mod:`harmbounds.utility` - outcome-level and stratum-level utility
   tables, gain equality, and the margin-only fast path;
 * :mod:`harmbounds.decide` - policies under the supported criteria, policy
   evaluation at a known law, and the outcome cost of stratum-level choice;
 * :mod:`harmbounds.simulate` - random laws, dataset sampling, plug-in
   estimation;
-* :mod:`harmbounds.verify` - brute-force property sweeps and the exact
-  integer LP oracle that certifies the bounds;
+* :mod:`harmbounds.verify` - brute-force property sweeps, the treatment
+  regimes and bound-improvement test they check, and the exact integer LP
+  oracle that certifies the bounds;
 * :mod:`harmbounds.cli` - the ``harmbounds`` command.
 """
 
-from .bounds import (Regime, StrataBounds, exp_bounds, fused_bounds,
-                     fused_lower_bound_s1, improvement_test, regime_lower_bound,
-                     regime_value, true_bounds)
+from .bounds import StrataBounds, exp_bounds, fused_bounds, fused_lower_bound_s1, true_bounds
 from .decide import (CRITERIA, DecisionCell, DecisionReport, Policy,
                      counterfactual_policy, counterfactual_report,
                      excess_outcome, gain_interval, interventionist_policy,
@@ -34,8 +33,7 @@ from .identify import (IdentifiedMeans, att_atu, exp_potential_mean,
                        fused_potential_mean, identified_means)
 from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw,
                    observed_from_full, parse_law_text, potential_outcome,
-                   read_law_file, stratum_margins, validate_full_law,
-                   validate_observed_law)
+                   read_law_file, stratum_margins)
 from .utility import (UtilitySpec, expected_cf_utility_diff, expected_int_utility,
                       gain_equality_diff, gain_equality_holds, harm_penalized_gamma,
                       induced_gamma, parse_utility_text, read_utility_file,
@@ -43,20 +41,22 @@ from .utility import (UtilitySpec, expected_cf_utility_diff, expected_int_utilit
 
 __version__ = "0.1.0"
 
-# Names from :mod:`harmbounds.simulate`, which loads numpy: they are imported
-# on first use (PEP 562), so the law-mode layers and CLI commands start
-# without numpy.
-_SIMULATE_NAMES = ("Dataset", "estimate_observed_law", "format_dataset_csv",
-                   "parse_dataset_csv", "random_law", "read_dataset_file",
-                   "sample_dataset")
+# Names from modules that load numpy, mapped to their module: they are
+# imported on first use (PEP 562), so the law-mode layers and CLI commands
+# start without numpy.
+_LAZY = {**dict.fromkeys(("Dataset", "estimate_observed_law", "format_dataset_csv",
+                          "parse_dataset_csv", "random_law", "read_dataset_file",
+                          "sample_dataset"), "simulate"),
+         **dict.fromkeys(("Regime", "improvement_test", "regime_lower_bound",
+                          "regime_value"), "verify")}
 
 
 def __getattr__(name):
-    if name in _SIMULATE_NAMES:
-        from . import simulate
-        return getattr(simulate, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted([*globals(), *_SIMULATE_NAMES])
+    return sorted([*globals(), *_LAZY])

@@ -48,27 +48,15 @@ exact: every input float, and ``tol``, is an integer at one power-of-two
 scale, and the final ``int / int`` rounds correctly.  The exact
 vertex-enumeration LP in :mod:`harmbounds.verify` computes the same range
 independently and serves as the oracle for both endpoints.
-
-The module also carries the regime machinery used by the brute-force
-verification sweeps: for any treatment rule ``g``, measurable in the
-level, the intention and the stratum (plus exogenous noise),
-
-    E[Y under a=1] - E[Y under g]
-
-is a valid lower bound for ``P(S=1)``, and for rules driven by noise
-alone it equals the never-treat contrast scaled by ``P(g assigns 0)``,
-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
 
 from .errors import IncompatibleLawsError
-from .identify import DEFAULT_TOL, att_atu, exp_potential_mean
-from .laws import (STRATA, FullLaw, ObservedLaw, potential_outcome, stratum_margins,
-                   validate_full_law)
+from .identify import DEFAULT_TOL, exp_potential_mean
+from .laws import FullLaw, ObservedLaw, stratum_margins
 
 _SOURCES = ("experimental-only", "fused", "true-law")
 
@@ -176,87 +164,3 @@ def _counted_roots(lower: tuple[int, int], upper: tuple[int, int], tol: int) -> 
     top, bottom = max(lower) - tol, min(upper) + tol
     return ([c for c, other in ((lo0, lo1), (lo1, lo0)) if other - tol <= c <= bottom]
             + [c for c, other in ((hi0, hi1), (hi1, hi0)) if top <= c <= other + tol])
-
-
-# ---------------------------------------------------------------------------
-# Treatment regimes and regime-based lower bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Regime:
-    """A treatment rule: probability of assigning ``a=1`` per (level, intention, stratum).
-
-    Exogenous randomization is folded into the probability; deterministic
-    rules return 0 or 1.
-    """
-
-    name: str
-    treat_prob: Callable[[str, int, int], float]
-
-    @staticmethod
-    def never() -> "Regime":
-        return Regime("never-treat", lambda l, astar, s: 0.0)
-
-    @staticmethod
-    def factual() -> "Regime":
-        """The rule generating the observational data: follow the intention."""
-        return Regime("factual", lambda l, astar, s: float(astar))
-
-    @staticmethod
-    def noise(q: float) -> "Regime":
-        """Treat with probability ``q`` regardless of any patient feature."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        return Regime(f"noise({q:g})", lambda l, astar, s: q)
-
-    @staticmethod
-    def from_table(name: str, table: Mapping[tuple[str, int, int], float]) -> "Regime":
-        return Regime(name, lambda l, astar, s: table[(l, astar, s)])
-
-
-def regime_value(law: FullLaw, regime: Regime) -> float:
-    """``P(Y=1)`` when treatment is assigned by ``regime``, by cell enumeration."""
-    validate_full_law(law)
-    total = 0.0
-    for l in law.levels:
-        for astar in (0, 1):
-            w_astar = law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]
-            block = law.p_strata[(l, astar)]
-            for s in STRATA:
-                weight = law.p_level[l] * w_astar * block[s - 1]
-                if weight == 0.0:
-                    continue
-                g = regime.treat_prob(l, astar, s)
-                if not 0.0 <= g <= 1.0:
-                    raise ValueError(
-                        f"regime {regime.name!r} returned {g!r} at ({l!r}, {astar}, {s})")
-                total += weight * (g * potential_outcome(s, 1)
-                                   + (1.0 - g) * potential_outcome(s, 0))
-    return total
-
-
-def regime_lower_bound(law: FullLaw, regime: Regime) -> float:
-    """``E[Y under a=1] - E[Y under regime]``; never exceeds ``P(S=1)``.
-
-    ``P(S=1)`` minus this quantity is exactly the mass of outcome-responsive
-    strata the regime sends to their unfavorable arm (stratum 1 treated,
-    stratum 2 untreated), which is non-negative for every law.
-    """
-    return law.marginal_potential_mean(1) - regime_value(law, regime)
-
-
-class ImprovementResult(NamedTuple):
-    improves: bool
-    att: float
-    atu: float
-
-
-def improvement_test(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> ImprovementResult:
-    """Whether the observational block strictly tightens the lower bound on ``P(S=1|l)``.
-
-    Holds exactly when the intention-group effects have strictly opposite
-    signs; sign ties within ``tol`` count as no improvement.
-    """
-    att, atu = att_atu(obs, l, tol)
-    improves = (att > tol and atu < -tol) or (att < -tol and atu > tol)
-    return ImprovementResult(improves, att, atu)

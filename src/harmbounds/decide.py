@@ -35,7 +35,7 @@ from typing import Mapping
 from .bounds import StrataBounds, true_bounds
 from .errors import NotPointIdentifiedError, PartialPolicyError
 from .identify import IdentifiedMeans
-from .laws import FullLaw, validate_full_law
+from .laws import FullLaw
 from .utility import UtilitySpec, expected_int_utility
 
 CRITERIA = ("interventionist", "cf-point", "cf-minimax-regret", "cf-maximin", "cf-bayes")
@@ -194,7 +194,6 @@ def policy_value(law: FullLaw, policy: Policy) -> float:
     Enumerates the ``(level, intention)`` cells; the policy must cover the
     law's whole feature space.
     """
-    validate_full_law(law)
     total = 0.0
     for l in law.levels:
         for astar in (0, 1):
@@ -212,7 +211,6 @@ def true_law_policies(law: FullLaw, cf_spec: UtilitySpec, int_spec: UtilitySpec,
     every criterion coincides; the outcome-level policy sees the true
     means.
     """
-    validate_full_law(law)
     exp_means = {(l, a): law.potential_mean(a, l) for l in law.levels for a in (0, 1)}
     means = IdentifiedMeans(exp=exp_means, fused=None, p_astar=None)
     int_policy = interventionist_policy(means, int_spec, use_astar=False)

@@ -42,15 +42,17 @@ assumptions relating the two:
 * outside the trial, ``A`` equals ``A*``.
 
 All values are plain 64-bit floats; sum-to-one checks use ``SUM_TOL``
-because inputs typically arrive as decimal text.  Objects are immutable
-after validation and every function here is pure, so concurrent use needs
-no coordination.
+because inputs typically arrive as decimal text.  A law checks itself when
+it is built and keeps read-only copies of its tables, so a law that exists
+is valid; every function here is pure, so concurrent use needs no
+coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import FileFormatError, LawValidationError, PositivityError
 
@@ -73,6 +75,33 @@ def potential_outcome(s: int, a: int) -> int:
 def _check_prob(value: float, what: str) -> None:
     if not (-SUM_TOL <= value <= 1.0 + SUM_TOL):
         raise LawValidationError(f"{what} = {value!r} is not a probability")
+
+
+def _store(law: object, **tables: Mapping) -> None:
+    """Set ``law.levels`` to a tuple and each table to a read-only copy."""
+    object.__setattr__(law, "levels", tuple(law.levels))
+    for name, table in tables.items():
+        object.__setattr__(law, name, MappingProxyType(dict(table)))
+
+
+def _check_levels(levels: tuple[str, ...], what: str,
+                  tables: tuple[tuple[Mapping[str, float], str], ...],
+                  check_blocks: Callable[[str], None]) -> None:
+    """Checks shared by both laws; ``tables`` are (per-level table, name), ``P(L)`` first."""
+    if not levels:
+        raise LawValidationError(f"{what} has no levels")
+    if len(set(levels)) != len(levels):
+        raise LawValidationError("duplicate level labels")
+    total = 0.0
+    for l in levels:
+        for mapping, name in tables:
+            if l not in mapping:
+                raise LawValidationError(f"missing {name} entry for level {l!r}")
+            _check_prob(mapping[l], f"{name} at level {l!r}")
+        total += tables[0][0][l]
+        check_blocks(l)
+    if abs(total - 1.0) > SUM_TOL:
+        raise LawValidationError(f"P(L) sums to {total:g}")
 
 
 def _outcome_mass(probs: tuple[float, float, float, float], a: int) -> float:
@@ -101,6 +130,30 @@ class FullLaw:
     p_strata: Mapping[tuple[str, int], tuple[float, float, float, float]]
     p_r1: Mapping[str, float]
     p_treat: Mapping[str, float]
+
+    def __post_init__(self) -> None:
+        """Store read-only copies of the tables, then check them; errors name the first fault."""
+        _store(self, p_level=self.p_level, p_astar=self.p_astar, p_r1=self.p_r1,
+               p_treat=self.p_treat, p_strata={k: tuple(b) for k, b in self.p_strata.items()})
+        _check_levels(self.levels, "law",
+                      ((self.p_level, "P(L)"), (self.p_astar, "P(A*=1|L)"),
+                       (self.p_r1, "P(R=1|L)"), (self.p_treat, "P(A=1|L,R=1)")), self._check_strata)
+
+    def _check_strata(self, l: str) -> None:
+        for astar in (0, 1):
+            key = (l, astar)
+            if key not in self.p_strata:
+                raise LawValidationError(f"missing stratum block (level {l!r}, astar={astar})")
+            block = self.p_strata[key]
+            if len(block) != 4:
+                raise LawValidationError(
+                    f"stratum block (level {l!r}, astar={astar}) has {len(block)} entries")
+            for s in STRATA:
+                _check_prob(block[s - 1], f"P(S={s} | level {l!r}, astar={astar})")
+            block_sum = sum(block)
+            if abs(block_sum - 1.0) > SUM_TOL:
+                raise LawValidationError(
+                    f"stratum block (level {l!r}, astar={astar}) sums to {block_sum:g}")
 
     def strata_marginal(self, l: str) -> tuple[float, float, float, float]:
         """``P(S=. | L=l)``, marginalizing the intention variable."""
@@ -145,6 +198,30 @@ class ObservedLaw:
     p_r1: Mapping[str, float]
     p_ya: Mapping[tuple[str, int], Mapping[tuple[int, int], float]]
 
+    def __post_init__(self) -> None:
+        """Store read-only copies of the tables, then check each ``(level, r)`` block."""
+        _store(self, p_level=self.p_level, p_r1=self.p_r1,
+               p_ya={k: MappingProxyType(dict(b)) for k, b in self.p_ya.items()})
+        _check_levels(self.levels, "observed law",
+                      ((self.p_level, "P(L)"), (self.p_r1, "P(R=1|L)")), self._check_blocks)
+
+    def _check_blocks(self, l: str) -> None:
+        for r in (0, 1):
+            key = (l, r)
+            if key not in self.p_ya:
+                raise LawValidationError(f"missing block (level {l!r}, R={r})")
+            block = self.p_ya[key]
+            block_sum = 0.0
+            for y in (0, 1):
+                for a in (0, 1):
+                    if (y, a) not in block:
+                        raise LawValidationError(
+                            f"missing cell (Y={y}, A={a}) in block (level {l!r}, R={r})")
+                    _check_prob(block[(y, a)], f"P(Y={y},A={a} | level {l!r}, R={r})")
+                    block_sum += block[(y, a)]
+            if abs(block_sum - 1.0) > SUM_TOL:
+                raise LawValidationError(f"block (level {l!r}, R={r}) sums to {block_sum:g}")
+
     def p_joint(self, y: int, a: int, l: str, r: int) -> float:
         """``P(Y=y, A=a | L=l, R=r)``."""
         self._require_level(l)
@@ -176,44 +253,6 @@ class ObservedLaw:
             raise ValueError(f"unknown level {l!r}")
 
 
-def validate_full_law(law: FullLaw) -> FullLaw:
-    """Return ``law`` unchanged iff every invariant holds.
-
-    Raises :class:`LawValidationError` naming the first violated invariant
-    and its location (level, intention arm, stratum).
-    """
-    if not law.levels:
-        raise LawValidationError("law has no levels")
-    if len(set(law.levels)) != len(law.levels):
-        raise LawValidationError("duplicate level labels")
-
-    total = 0.0
-    for l in law.levels:
-        for mapping, name in ((law.p_level, "P(L)"), (law.p_astar, "P(A*=1|L)"),
-                              (law.p_r1, "P(R=1|L)"), (law.p_treat, "P(A=1|L,R=1)")):
-            if l not in mapping:
-                raise LawValidationError(f"missing {name} entry for level {l!r}")
-            _check_prob(mapping[l], f"{name} at level {l!r}")
-        total += law.p_level[l]
-        for astar in (0, 1):
-            key = (l, astar)
-            if key not in law.p_strata:
-                raise LawValidationError(f"missing stratum block (level {l!r}, astar={astar})")
-            block = law.p_strata[key]
-            if len(block) != 4:
-                raise LawValidationError(
-                    f"stratum block (level {l!r}, astar={astar}) has {len(block)} entries")
-            for s in STRATA:
-                _check_prob(block[s - 1], f"P(S={s} | level {l!r}, astar={astar})")
-            block_sum = sum(block)
-            if abs(block_sum - 1.0) > SUM_TOL:
-                raise LawValidationError(
-                    f"stratum block (level {l!r}, astar={astar}) sums to {block_sum:g}")
-    if abs(total - 1.0) > SUM_TOL:
-        raise LawValidationError(f"P(L) sums to {total:g}")
-    return law
-
-
 def observed_from_full(law: FullLaw) -> ObservedLaw:
     """Push a full law forward to the law of the observed data.
 
@@ -222,7 +261,6 @@ def observed_from_full(law: FullLaw) -> ObservedLaw:
     Observational block (``R=0``): received treatment equals intention, so
     ``P(Y=y, A=a | l, R=0) = P(A*=a|l) P(Y^a=y | l, A*=a)``.
     """
-    validate_full_law(law)
     p_ya: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
     for l in law.levels:
         treat = law.p_treat[l]
@@ -243,38 +281,7 @@ def observed_from_full(law: FullLaw) -> ObservedLaw:
             obs_block[(0, a)] = p_arm * (1.0 - mean)
         p_ya[(l, 0)] = obs_block
 
-    obs = ObservedLaw(levels=law.levels, p_level=dict(law.p_level),
-                      p_r1=dict(law.p_r1), p_ya=p_ya)
-    validate_observed_law(obs)
-    return obs
-
-
-def validate_observed_law(obs: ObservedLaw) -> ObservedLaw:
-    """Range and normalization checks for each ``(level, r)`` block."""
-    if not obs.levels:
-        raise LawValidationError("observed law has no levels")
-    total = 0.0
-    for l in obs.levels:
-        if l not in obs.p_level:
-            raise LawValidationError(f"missing P(L) entry for level {l!r}")
-        _check_prob(obs.p_level[l], f"P(L) at level {l!r}")
-        _check_prob(obs.p_r1[l], f"P(R=1|L) at level {l!r}")
-        total += obs.p_level[l]
-        for r in (0, 1):
-            key = (l, r)
-            if key not in obs.p_ya:
-                raise LawValidationError(f"missing block (level {l!r}, R={r})")
-            block = obs.p_ya[key]
-            block_sum = 0.0
-            for y in (0, 1):
-                for a in (0, 1):
-                    _check_prob(block[(y, a)], f"P(Y={y},A={a} | level {l!r}, R={r})")
-                    block_sum += block[(y, a)]
-            if abs(block_sum - 1.0) > SUM_TOL:
-                raise LawValidationError(f"block (level {l!r}, R={r}) sums to {block_sum:g}")
-    if abs(total - 1.0) > SUM_TOL:
-        raise LawValidationError(f"P(L) sums to {total:g}")
-    return obs
+    return ObservedLaw(levels=law.levels, p_level=law.p_level, p_r1=law.p_r1, p_ya=p_ya)
 
 
 def stratum_margins(law: FullLaw, l: str) -> tuple[float, float, float]:
@@ -374,9 +381,8 @@ def parse_law_text(text: str) -> FullLaw:
         if label not in p_level:
             raise FileFormatError(f"record references undeclared level {label!r}")
 
-    law = FullLaw(levels=tuple(order), p_level=p_level, p_astar=p_astar,
-                  p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
-    return validate_full_law(law)
+    return FullLaw(levels=tuple(order), p_level=p_level, p_astar=p_astar,
+                   p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
 
 
 def read_law_file(path: str) -> FullLaw:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, PositivityError
-from .laws import FullLaw, ObservedLaw, validate_full_law, validate_observed_law
+from .laws import FullLaw, ObservedLaw
 
 
 def random_law(seed: int, n_levels: int = 1) -> FullLaw:
@@ -69,9 +69,8 @@ def random_law(seed: int, n_levels: int = 1) -> FullLaw:
         p_strata[(l, 1)] = strata_vector()
         p_strata[(l, 0)] = strata_vector()
 
-    law = FullLaw(levels=levels, p_level=p_level, p_astar=p_astar,
-                  p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
-    return validate_full_law(law)
+    return FullLaw(levels=levels, p_level=p_level, p_astar=p_astar,
+                   p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ _OUTCOME = np.array([0, 0, 1, 1, 0,
 
 def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
     """Draw ``n`` independent rows from the observed-data law of ``law``."""
-    validate_full_law(law)
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -178,8 +176,7 @@ def estimate_observed_law(data: Dataset, smoothing: float = 0.0) -> ObservedLaw:
             p_ya[(l, r)] = {(y, a): float(block[y, a] / total)
                             for y in (0, 1) for a in (0, 1)}
 
-    obs = ObservedLaw(levels=levels, p_level=p_level, p_r1=p_r1, p_ya=p_ya)
-    return validate_observed_law(obs)
+    return ObservedLaw(levels=levels, p_level=p_level, p_r1=p_r1, p_ya=p_ya)
 
 
 # ---------------------------------------------------------------------------

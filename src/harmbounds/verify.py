@@ -7,6 +7,16 @@ inequality against direct enumeration (drawing random regimes where
 needed) and returns a failure message or ``None``.  The sweeps are
 deterministic in their seed.
 
+``s3`` and ``s4`` check the treatment regimes defined here: for any rule
+``g``, measurable in the level, the intention and the stratum (plus
+exogenous noise),
+
+    E[Y under a=1] - E[Y under g]
+
+is a valid lower bound for ``P(S=1)``, and for rules driven by noise
+alone it equals the never-treat contrast scaled by ``P(g assigns 0)``,
+exactly.  ``s5`` checks :func:`improvement_test` against the fused bound.
+
 ``s4`` additionally hunts for a counterexample to the *unclipped* claim
 "the never-treat effect dominates every noise-only regime effect": the
 exact product identity makes that claim false whenever the never-treat
@@ -29,14 +39,13 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import (Regime, exp_bounds, fused_bounds, fused_lower_bound_s1,
-                     improvement_test, regime_lower_bound)
+from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
 from .errors import IncompatibleLawsError
-from .identify import DEFAULT_TOL, exp_potential_mean, fused_potential_mean
+from .identify import DEFAULT_TOL, att_atu, exp_potential_mean, fused_potential_mean
 from .laws import (STRATA, FullLaw, ObservedLaw, observed_from_full, potential_outcome,
                    stratum_margins)
 from .simulate import random_law
@@ -82,6 +91,89 @@ def _sweep(name: str, trials: int, seed: int,
         elif len(result.failures) < MAX_FAILURES:
             result.failures.append(failure)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Treatment regimes and regime-based lower bounds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Regime:
+    """A treatment rule: probability of assigning ``a=1`` per (level, intention, stratum).
+
+    Exogenous randomization is folded into the probability; deterministic
+    rules return 0 or 1.
+    """
+
+    name: str
+    treat_prob: Callable[[str, int, int], float]
+
+    @staticmethod
+    def never() -> "Regime":
+        return Regime("never-treat", lambda l, astar, s: 0.0)
+
+    @staticmethod
+    def factual() -> "Regime":
+        """The rule generating the observational data: follow the intention."""
+        return Regime("factual", lambda l, astar, s: float(astar))
+
+    @staticmethod
+    def noise(q: float) -> "Regime":
+        """Treat with probability ``q`` regardless of any patient feature."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
+        return Regime(f"noise({q:g})", lambda l, astar, s: q)
+
+    @staticmethod
+    def from_table(name: str, table: Mapping[tuple[str, int, int], float]) -> "Regime":
+        return Regime(name, lambda l, astar, s: table[(l, astar, s)])
+
+
+def regime_value(law: FullLaw, regime: Regime) -> float:
+    """``P(Y=1)`` when treatment is assigned by ``regime``, by cell enumeration."""
+    total = 0.0
+    for l in law.levels:
+        for astar in (0, 1):
+            w_astar = law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]
+            block = law.p_strata[(l, astar)]
+            for s in STRATA:
+                weight = law.p_level[l] * w_astar * block[s - 1]
+                if weight == 0.0:
+                    continue
+                g = regime.treat_prob(l, astar, s)
+                if not 0.0 <= g <= 1.0:
+                    raise ValueError(
+                        f"regime {regime.name!r} returned {g!r} at ({l!r}, {astar}, {s})")
+                total += weight * (g * potential_outcome(s, 1)
+                                   + (1.0 - g) * potential_outcome(s, 0))
+    return total
+
+
+def regime_lower_bound(law: FullLaw, regime: Regime) -> float:
+    """``E[Y under a=1] - E[Y under regime]``; never exceeds ``P(S=1)``.
+
+    ``P(S=1)`` minus this quantity is exactly the mass of outcome-responsive
+    strata the regime sends to their unfavorable arm (stratum 1 treated,
+    stratum 2 untreated), which is non-negative for every law.
+    """
+    return law.marginal_potential_mean(1) - regime_value(law, regime)
+
+
+class ImprovementResult(NamedTuple):
+    improves: bool
+    att: float
+    atu: float
+
+
+def improvement_test(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> ImprovementResult:
+    """Whether the observational block strictly tightens the lower bound on ``P(S=1|l)``.
+
+    Holds exactly when the intention-group effects have strictly opposite
+    signs; sign ties within ``tol`` count as no improvement.
+    """
+    att, atu = att_atu(obs, l, tol)
+    improves = (att > tol and atu < -tol) or (att < -tol and atu > tol)
+    return ImprovementResult(improves, att, atu)
 
 
 def _random_regime(law: FullLaw, rng: np.random.Generator) -> Regime:

@@ -4,7 +4,7 @@ import pytest
 
 from harmbounds import (FileFormatError, LawValidationError, STRATA,
                         observed_from_full, parse_law_text, potential_outcome,
-                        random_law, stratum_margins, validate_full_law)
+                        random_law, stratum_margins)
 from harmbounds.laws import STRATUM_OUTCOMES
 
 from conftest import make_law_e1
@@ -19,31 +19,69 @@ def test_stratum_outcome_bijection():
     assert pairs == {(1, 0), (0, 1), (1, 1), (0, 0)}
 
 
+def _trial_block(obs, block):
+    return dict(p_ya={**obs.p_ya, ("l0", 1): block})
+
+
+#: test id -> (changes to the e1 observed law, message of the refusal)
+OBSERVED_FAULTS = {
+    "no-levels": (lambda o: dict(levels=()), "observed law has no levels"),
+    "duplicate-level": (lambda o: dict(levels=("l0", "l0"), p_level={"l0": 0.5}),
+                        "duplicate level labels"),
+    "missing-p_level": (lambda o: dict(p_level={}), r"missing P\(L\) entry for level 'l0'"),
+    "p_level-range": (lambda o: dict(p_level={"l0": 1.5}),
+                      r"P\(L\) at level 'l0' = 1.5 is not a probability"),
+    "missing-p_r1": (lambda o: dict(p_r1={}), r"missing P\(R=1\|L\) entry for level 'l0'"),
+    "p_r1-range": (lambda o: dict(p_r1={"l0": -0.5}),
+                   r"P\(R=1\|L\) at level 'l0' = -0.5 is not a probability"),
+    "missing-block": (lambda o: dict(p_ya={("l0", 1): o.p_ya[("l0", 1)]}),
+                      r"missing block \(level 'l0', R=0\)"),
+    "missing-cell": (lambda o: _trial_block(o, {(0, 0): 0.5, (0, 1): 0.5, (1, 1): 0.0}),
+                     r"missing cell \(Y=1, A=0\) in block \(level 'l0', R=1\)"),
+    "cell-range": (lambda o: _trial_block(o, {(0, 0): 1.5, (0, 1): 0.0, (1, 0): 0.0, (1, 1): -0.5}),
+                   r"P\(Y=0,A=0 \| level 'l0', R=1\) = 1.5 is not a probability"),
+    "block-sum": (lambda o: _trial_block(o, dict.fromkeys(o.p_ya[("l0", 1)], 0.5)),
+                  r"block \(level 'l0', R=1\) sums to 2"),
+    "level-sum": (lambda o: dict(p_level={"l0": 0.7}), r"P\(L\) sums to 0.7"),
+}
+
+
 class TestValidation:
     def test_fixture_is_valid(self, law_e1):
-        assert validate_full_law(law_e1) is law_e1
+        assert dataclasses.replace(law_e1) == law_e1
 
     def test_unnormalized_stratum_block(self, law_e1):
-        bad = dataclasses.replace(
-            law_e1, p_strata={**law_e1.p_strata, ("l0", 1): (0.5, 0.5, 0.5, 0.5)})
         with pytest.raises(LawValidationError, match=r"astar=1.*sums to 2"):
-            validate_full_law(bad)
+            dataclasses.replace(
+                law_e1, p_strata={**law_e1.p_strata, ("l0", 1): (0.5, 0.5, 0.5, 0.5)})
 
     def test_point_mass_is_valid(self, law_e1):
-        degenerate = dataclasses.replace(
-            law_e1, p_strata={("l0", 1): (0.0, 0.0, 0.0, 1.0),
-                              ("l0", 0): (0.0, 0.0, 0.0, 1.0)})
-        validate_full_law(degenerate)
+        dataclasses.replace(law_e1, p_strata={("l0", 1): (0.0, 0.0, 0.0, 1.0),
+                                              ("l0", 0): (0.0, 0.0, 0.0, 1.0)})
 
     def test_probability_out_of_range(self, law_e1):
-        bad = dataclasses.replace(law_e1, p_astar={"l0": 1.5})
         with pytest.raises(LawValidationError, match="P\\(A\\*=1\\|L\\)"):
-            validate_full_law(bad)
+            dataclasses.replace(law_e1, p_astar={"l0": 1.5})
 
     def test_level_mass_must_normalize(self, law_e1):
-        bad = dataclasses.replace(law_e1, p_level={"l0": 0.7})
         with pytest.raises(LawValidationError, match="P\\(L\\) sums"):
-            validate_full_law(bad)
+            dataclasses.replace(law_e1, p_level={"l0": 0.7})
+
+    @pytest.mark.parametrize("case", OBSERVED_FAULTS)
+    def test_observed_law_messages(self, obs_e1, case):
+        changes, message = OBSERVED_FAULTS[case]
+        with pytest.raises(LawValidationError, match=message):
+            dataclasses.replace(obs_e1, **changes(obs_e1))
+
+    def test_tables_are_read_only_copies(self, law_e1, obs_e1):
+        for table, key in ((law_e1.p_level, "l0"), (law_e1.p_strata, ("l0", 1)),
+                           (obs_e1.p_ya[("l0", 0)], (1, 1))):
+            with pytest.raises(TypeError):
+                table[key] = 0.5
+        p_level = {"l0": 1.0}
+        law = dataclasses.replace(law_e1, p_level=p_level)
+        p_level["l0"] = 0.5
+        assert law.p_level["l0"] == 1.0
 
 
 class TestPushForward:
