@@ -299,13 +299,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import PROPS
-    props = [p.strip() for p in args.props.split(",")] if args.props else list(PROPS)
+    from .verify import PROPS, run_sweeps
+    props = list(PROPS) if args.props is None else [p.strip() for p in args.props.split(",")]
+    if "" in props:
+        raise UsageError(f"--props has an empty entry: {args.props!r}")
     unknown = [p for p in props if p not in PROPS]
     if unknown:
         raise UsageError(f"unknown properties: {', '.join(unknown)} "
                          f"(available: {', '.join(PROPS)})")
-    results = [PROPS[p](args.trials, args.seed) for p in props]
+    results = run_sweeps(props, args.trials, args.seed)
     lines = []
     all_ok = True
     for r in results:

@@ -50,7 +50,7 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -82,6 +82,13 @@ def _store(law: object, **tables: Mapping) -> None:
     object.__setattr__(law, "levels", tuple(law.levels))
     for name, table in tables.items():
         object.__setattr__(law, name, MappingProxyType(dict(table)))
+
+
+def _reduce(law: object) -> tuple:
+    """Pickle ``law`` as its constructor and plain-dict fields, so loading checks it again."""
+    def plain(value: object) -> object:
+        return {k: plain(v) for k, v in value.items()} if isinstance(value, Mapping) else value
+    return type(law), tuple(plain(getattr(law, f.name)) for f in fields(law))
 
 
 def _check_levels(levels: tuple[str, ...], what: str,
@@ -130,6 +137,8 @@ class FullLaw:
     p_strata: Mapping[tuple[str, int], tuple[float, float, float, float]]
     p_r1: Mapping[str, float]
     p_treat: Mapping[str, float]
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         """Store read-only copies of the tables, then check them; errors name the first fault."""
@@ -197,6 +206,8 @@ class ObservedLaw:
     p_level: Mapping[str, float]
     p_r1: Mapping[str, float]
     p_ya: Mapping[tuple[str, int], Mapping[tuple[int, int], float]]
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         """Store read-only copies of the tables, then check each ``(level, r)`` block."""

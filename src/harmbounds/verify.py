@@ -1,11 +1,11 @@
 """Brute-force verification sweeps over random laws.
 
-One trial driver (:func:`_sweep`) draws a random full law per trial and
-counts passes, keeping at most ``MAX_FAILURES`` failure descriptions.
-Each sweep supplies a per-trial check that tests a claimed identity or
-inequality against direct enumeration (drawing random regimes where
-needed) and returns a failure message or ``None``.  The sweeps are
-deterministic in their seed.
+One driver (:func:`run_sweeps`) builds each trial's random full law once,
+pushes it forward once if a requested property reads the observed law,
+and runs each requested property's per-trial check on them.  A check tests
+a claimed identity or inequality against direct enumeration (drawing
+random regimes where needed) and returns a failure message or ``None``.
+The sweeps are deterministic in their seed.
 
 ``s3`` and ``s4`` check the treatment regimes defined here: for any rule
 ``g``, measurable in the level, the intention and the stratum (plus
@@ -73,24 +73,55 @@ class SweepResult:
         return self.passes == self.trials
 
 
-def _sweep(name: str, trials: int, seed: int,
-           check: Callable[[int, FullLaw], str | None]) -> SweepResult:
-    """Run ``check(i, law)`` on a fresh random law per trial.
+#: One property's ``(check, notes)``: ``check(i, law, obs)`` returns a failure
+#: message or ``None``, and ``notes()`` the notes after the last trial.
+_Checks = tuple[Callable[[int, FullLaw, ObservedLaw | None], str | None],
+                Callable[[], list[str]]]
+#: property name -> ``factory(trials, seed, **options)`` of its checks
+_CHECKS: dict[str, Callable[..., _Checks]] = {}
+#: property name -> its one-property sweep, which takes its factory's arguments
+PROPS: dict[str, Callable[..., SweepResult]] = {}
+#: Properties whose checks read the trial's observed law; the others get ``None``.
+_READS_OBSERVED = frozenset({"s5", "sharpness", "fusion"})
 
-    ``check`` returns a failure message or ``None``; the law of trial ``i``
-    has ``1 + i % 3`` levels and a seed drawn from ``seed``.
+
+def _property(name: str) -> Callable[[Callable[..., _Checks]], Callable[..., SweepResult]]:
+    """Register a check factory as property ``name`` and return its one-property sweep."""
+    def register(factory: Callable[..., _Checks]) -> Callable[..., SweepResult]:
+        def sweep(trials: int, seed: int, **options) -> SweepResult:
+            return run_sweeps([name], trials, seed, **options)[0]
+
+        sweep.__name__, sweep.__doc__ = factory.__name__, factory.__doc__
+        _CHECKS[name], PROPS[name] = factory, sweep
+        return sweep
+    return register
+
+
+def run_sweeps(props: Sequence[str], trials: int, seed: int, **options) -> list[SweepResult]:
+    """Run the properties named in ``props`` on shared trials; one result each, in order.
+
+    Trial ``i``'s law has ``1 + i % 3`` levels and a seed drawn from ``seed``.
+    Each property keeps its own random stream, failure cap and notes, so its
+    result is that of its own sweep.  ``options`` go to every check factory.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    result = SweepResult(name, trials, 0)
+    checks = [_CHECKS[name](trials, seed, **options) for name in props]
+    results = [SweepResult(name, trials, 0) for name in props]
+    push_forward = not _READS_OBSERVED.isdisjoint(props)
     law_seeds = np.random.default_rng(seed).integers(0, 2**63, size=trials)
     for i in range(trials):
-        failure = check(i, random_law(int(law_seeds[i]), n_levels=1 + i % 3))
-        if failure is None:
-            result.passes += 1
-        elif len(result.failures) < MAX_FAILURES:
-            result.failures.append(failure)
-    return result
+        law = random_law(int(law_seeds[i]), n_levels=1 + i % 3)
+        obs = observed_from_full(law) if push_forward else None
+        for (check, _), result in zip(checks, results):
+            failure = check(i, law, obs)
+            if failure is None:
+                result.passes += 1
+            elif len(result.failures) < MAX_FAILURES:
+                result.failures.append(failure)
+    for (_, notes), result in zip(checks, results):
+        result.notes.extend(notes())
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +209,15 @@ def improvement_test(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> Impr
 
 def _random_regime(law: FullLaw, rng: np.random.Generator) -> Regime:
     """A random rule over (level, intention, stratum) cells, half deterministic."""
-    table = {}
     deterministic = rng.random() < 0.5
-    for l in law.levels:
-        for astar in (0, 1):
-            for s in STRATA:
-                g = rng.random()
-                table[(l, astar, s)] = float(round(g)) if deterministic else float(g)
+    cells = [(l, astar, s) for l in law.levels for astar in (0, 1) for s in STRATA]
+    draws = rng.random(len(cells))  # the same values, in order, as one draw per cell
+    table = dict(zip(cells, (draws.round() if deterministic else draws).tolist()))
     return Regime.from_table("random", table)
 
 
-def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> SweepResult:
+@_property("s3")
+def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> _Checks:
     """Any regime effect versus always-treat never exceeds the harm probability.
 
     Also cross-checks the enumeration against the mass-accounting identity
@@ -196,7 +225,7 @@ def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> SweepResult:
     """
     rng = np.random.default_rng(seed + 1)
 
-    def check(i: int, law: FullLaw) -> str | None:
+    def check(i: int, law: FullLaw, obs: ObservedLaw | None) -> str | None:
         p_harm = law.marginal_stratum_prob(1)
         for _ in range(regimes_per_law):
             regime = _random_regime(law, rng)
@@ -215,15 +244,16 @@ def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> SweepResult:
                 return f"trial {i}: mass accounting off by {tau_g - (p_harm - matched):.3g}"
         return None
 
-    return _sweep("s3", trials, seed, check)
+    return check, lambda: []
 
 
-def sweep_s4(trials: int, seed: int) -> SweepResult:
+@_property("s4")
+def sweep_s4(trials: int, seed: int) -> _Checks:
     """Noise-only regimes: exact product identity and the clipped dominance."""
     rng = np.random.default_rng(seed + 1)
     counterexample: str | None = None
 
-    def check(i: int, law: FullLaw) -> str | None:
+    def check(i: int, law: FullLaw, obs: ObservedLaw | None) -> str | None:
         nonlocal counterexample
         tau0 = law.marginal_potential_mean(1) - law.marginal_potential_mean(0)
         q = float(rng.uniform(0.0, 1.0))
@@ -237,13 +267,12 @@ def sweep_s4(trials: int, seed: int) -> SweepResult:
             return None
         return f"trial {i}: tau_g={tau_g:.6g} tau0={tau0:.6g} q={q:.3g}"
 
-    result = _sweep("s4", trials, seed, check)
-    result.notes.append(counterexample or
-                        "no unclipped counterexample arose (no negative-effect law drawn)")
-    return result
+    return check, lambda: [counterexample or
+                           "no unclipped counterexample arose (no negative-effect law drawn)"]
 
 
-def sweep_s5(trials: int, seed: int) -> SweepResult:
+@_property("s5")
+def sweep_s5(trials: int, seed: int) -> _Checks:
     """Opposite-sign intention effects iff the observational block tightens the bound.
 
     When the signs strictly differ the tightening is at least the smaller
@@ -254,9 +283,8 @@ def sweep_s5(trials: int, seed: int) -> SweepResult:
     """
     skipped = 0
 
-    def check(i: int, law: FullLaw) -> str | None:
+    def check(i: int, law: FullLaw, obs: ObservedLaw) -> str | None:
         nonlocal skipped
-        obs = observed_from_full(law)
         for l in law.levels:
             test = improvement_test(obs, l, S5_TIE_TOL)
             _, _, tau0 = stratum_margins(law, l)
@@ -268,10 +296,8 @@ def sweep_s5(trials: int, seed: int) -> SweepResult:
                 return f"trial {i} level {l}: improves={test.improves} but bound gain={gain:.3g}"
         return None
 
-    result = _sweep("s5", trials, seed, check)
-    if skipped:
-        result.notes.append(f"{skipped} level(s) skipped as sign ties within {S5_TIE_TOL:g}")
-    return result
+    return check, lambda: ([f"{skipped} level(s) skipped as sign ties within {S5_TIE_TOL:g}"]
+                           if skipped else [])
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +552,10 @@ def _det(matrix: list[list[int]]) -> int:
     return sign * previous
 
 
-def sweep_sharpness(trials: int, seed: int) -> SweepResult:
+@_property("sharpness")
+def sweep_sharpness(trials: int, seed: int) -> _Checks:
     """LP oracle against the closed forms, plus redundancy of the mixture terms."""
-
-    def check(i: int, law: FullLaw) -> str | None:
-        obs = observed_from_full(law)
+    def check(i: int, law: FullLaw, obs: ObservedLaw) -> str | None:
         for l in law.levels:
             closed = exp_bounds(obs, l)
             exp_system = strata_system(obs, l, fuse=False)
@@ -567,14 +592,13 @@ def sweep_sharpness(trials: int, seed: int) -> SweepResult:
                     return f"trial {i} level {l}: truth escapes stratum {s} interval"
         return None
 
-    return _sweep("sharpness", trials, seed, check)
+    return check, lambda: []
 
 
-def sweep_fusion(trials: int, seed: int) -> SweepResult:
+@_property("fusion")
+def sweep_fusion(trials: int, seed: int) -> _Checks:
     """Fused means recover the direct conditional means of the generating law."""
-
-    def check(i: int, law: FullLaw) -> str | None:
-        obs = observed_from_full(law)
+    def check(i: int, law: FullLaw, obs: ObservedLaw) -> str | None:
         for l in law.levels:
             p_astar = law.p_astar[l]
             for a in (0, 1):
@@ -591,10 +615,11 @@ def sweep_fusion(trials: int, seed: int) -> SweepResult:
                     return f"trial {i} level {l}: mixture {mix:.9g} vs {marginal:.9g}"
         return None
 
-    return _sweep("fusion", trials, seed, check)
+    return check, lambda: []
 
 
-def sweep_excess(trials: int, seed: int) -> SweepResult:
+@_property("excess")
+def sweep_excess(trials: int, seed: int) -> _Checks:
     """Stratum-driven policies never beat the outcome minimizer on outcomes.
 
     Uses survival preferences with a random positive charge on treating
@@ -607,7 +632,7 @@ def sweep_excess(trials: int, seed: int) -> SweepResult:
     rng = np.random.default_rng(seed + 1)
     strict = 0
 
-    def check(i: int, law: FullLaw) -> str | None:
+    def check(i: int, law: FullLaw, obs: ObservedLaw | None) -> str | None:
         nonlocal strict
         base = survival_spec()
         penalty = float(rng.uniform(0.5, 5.0))
@@ -620,18 +645,5 @@ def sweep_excess(trials: int, seed: int) -> SweepResult:
             strict += 1
         return None if excess >= -1e-12 else f"trial {i}: excess {excess:.6g} negative"
 
-    result = _sweep("excess", trials, seed, check)
-    result.notes.append(f"strictly positive excess on {strict}/{trials} laws "
-                        f"({100.0 * strict / trials:.1f}%)")
-    return result
-
-
-PROPS = {
-    "s3": sweep_s3,
-    "s4": sweep_s4,
-    "s5": sweep_s5,
-    "sharpness": sweep_sharpness,
-    "fusion": sweep_fusion,
-    "excess": sweep_excess,
-}
-
+    return check, lambda: [f"strictly positive excess on {strict}/{trials} laws "
+                           f"({100.0 * strict / trials:.1f}%)"]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from harmbounds import cli
+from harmbounds import cli, verify
 from harmbounds.cli import main
 from harmbounds.verify import PROPS
 
@@ -513,11 +513,17 @@ class TestVerify:
         assert code == 1
         assert "unknown properties" in err
 
+    @pytest.mark.parametrize("props", ["", "s3,", ",s3", "s3,,s4", " , "])
+    def test_empty_props_entry(self, props):
+        code, out, err = run("verify", "--props", props, "--trials", "2")
+        assert code == 1 and out == ""
+        assert err == f"usage error: --props has an empty entry: {props!r}\n"
+
     def test_fault_inside_a_sweep_is_not_a_usage_error(self, monkeypatch):
-        def broken(trials, seed):
+        def broken(law, regime):
             raise ValueError("internal fault")
 
-        monkeypatch.setitem(PROPS, "s3", broken)
+        monkeypatch.setattr(verify, "regime_lower_bound", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run("verify", "--props", "s3", "--trials", "5")
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -82,6 +84,20 @@ class TestValidation:
         law = dataclasses.replace(law_e1, p_level=p_level)
         p_level["l0"] = 0.5
         assert law.p_level["l0"] == 1.0
+
+    def test_pickle_and_deepcopy_round_trip(self, law_e1):
+        for law in (law_e1, random_law(0), random_law(1, n_levels=2), random_law(2, n_levels=3)):
+            for x in (law, observed_from_full(law)):
+                for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+                    assert copied == x and copied is not x
+                    with pytest.raises(TypeError):
+                        copied.p_level[x.levels[0]] = 0.5
+
+    def test_unpickling_checks_the_law_again(self, law_e1):
+        rebuild, args = law_e1.__reduce__()
+        args[1]["l0"] = 0.7
+        with pytest.raises(LawValidationError, match="P\\(L\\) sums"):
+            rebuild(*args)
 
 
 class TestPushForward:

@@ -56,6 +56,38 @@ def test_each_sweep_fails_on_a_planted_fault(monkeypatch, case):
     assert result.failures
 
 
+@pytest.mark.parametrize("props", [
+    "s4,s4", "excess,fusion,sharpness,s5,s4,s3", "s3,s4,s5,sharpness,fusion,excess",
+    "s5,s3", "sharpness,excess,sharpness", "fusion"])
+def test_shared_trials_match_one_property_sweeps(props):
+    names = props.split(",")
+    for trials, seed in ((20, 0), (31, 7), (40, 12_345)):
+        results = verify.run_sweeps(names, trials, seed)
+        assert [r.name for r in results] == names
+        for name, result in zip(names, results):
+            assert result == verify.PROPS[name](trials, seed)
+
+
+@pytest.mark.parametrize("props, pushed_forward", [
+    ("s3,s4,s5,sharpness,fusion,excess", True), ("s3,s4,excess", False),
+    ("s4,s5", True), ("excess,sharpness", True), ("fusion,s3,fusion", True)])
+def test_each_trial_law_is_built_and_pushed_forward_once(monkeypatch, props, pushed_forward):
+    calls = {"random_law": 0, "observed_from_full": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    assert all(r.ok for r in verify.run_sweeps(props.split(","), trials=25, seed=3))
+    assert calls == {"random_law": 25, "observed_from_full": 25 if pushed_forward else 0}
+
+
 @pytest.mark.parametrize("prop", verify.PROPS)
 def test_sweeps_need_a_trial(prop):
     with pytest.raises(ValueError, match="trials must be at least 1"):
