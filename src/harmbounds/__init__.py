@@ -13,8 +13,10 @@ The package splits into small pure layers:
   tables, gain equality, and the margin-only fast path;
 * :mod:`harmbounds.decide` - policies under the supported criteria, policy
   evaluation at a known law, and the outcome cost of stratum-level choice;
-* :mod:`harmbounds.simulate` - random laws, dataset sampling, plug-in
-  estimation;
+* :mod:`harmbounds.data` - dataset CSV files read as per-cell row counts,
+  and plug-in estimation of the observed law from them;
+* :mod:`harmbounds.simulate` - random laws, dataset sampling, and the
+  dataset CSV writer;
 * :mod:`harmbounds.verify` - brute-force property sweeps, the treatment
   regimes and bound-improvement test they check, and the exact integer LP
   oracle that certifies the bounds;
@@ -22,6 +24,7 @@ The package splits into small pure layers:
 """
 
 from .bounds import StrataBounds, exp_bounds, fused_bounds, fused_lower_bound_s1, true_bounds
+from .data import CellCounts, estimate_observed_law, parse_dataset_csv, read_dataset_file
 from .decide import (CRITERIA, DecisionCell, DecisionReport, Policy,
                      counterfactual_policy, counterfactual_report,
                      excess_outcome, gain_interval, interventionist_policy,
@@ -42,11 +45,10 @@ from .utility import (UtilitySpec, expected_cf_utility_diff, expected_int_utilit
 __version__ = "0.1.0"
 
 # Names from modules that load numpy, mapped to their module: they are
-# imported on first use (PEP 562), so the law-mode layers and CLI commands
-# start without numpy.
-_LAZY = {**dict.fromkeys(("Dataset", "estimate_observed_law", "format_dataset_csv",
-                          "parse_dataset_csv", "random_law", "read_dataset_file",
-                          "sample_dataset"), "simulate"),
+# imported on first use (PEP 562), so the law-mode and data-mode layers and
+# CLI commands start without numpy.
+_LAZY = {**dict.fromkeys(("Dataset", "format_dataset_csv", "random_law", "sample_dataset"),
+                         "simulate"),
          **dict.fromkeys(("Regime", "improvement_test", "regime_lower_bound",
                           "regime_value"), "verify")}
 

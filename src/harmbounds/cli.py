@@ -20,6 +20,7 @@ import math
 import sys
 
 from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
+from .data import estimate_observed_law, read_dataset_file
 from .decide import (CRITERIA, DecisionReport, counterfactual_report,
                      interventionist_report, policy_value, true_law_policies)
 from .errors import (FileFormatError, GainEqualityError, GammaMissingError,
@@ -30,9 +31,9 @@ from .laws import STRATA, observed_from_full, read_law_file
 from .utility import UtilitySpec, read_utility_file
 
 # ``simulate`` and ``verify`` load numpy, so only the commands that use them
-# import them, and law-mode commands start without numpy.  ``verify --props``
-# names the sweeps here for the same reason; a test keeps this equal to
-# ``tuple(verify.PROPS)``.
+# import them, and the law-mode and ``--data`` commands start without numpy.
+# ``verify --props`` names the sweeps here for the same reason; a test keeps
+# this equal to ``tuple(verify.PROPS)``.
 _VERIFY_PROPS = ("s3", "s4", "s5", "sharpness", "fusion", "excess")
 
 _USAGE_EXIT = 1
@@ -126,9 +127,7 @@ def _load_observed(args):
     if args.law:
         return observed_from_full(read_law_file(args.law))
     if args.data:
-        from . import simulate
-        return simulate.estimate_observed_law(simulate.read_dataset_file(args.data),
-                                              smoothing=args.smoothing)
+        return estimate_observed_law(read_dataset_file(args.data), smoothing=args.smoothing)
     raise UsageError("an input is required: --law PATH or --data PATH")
 
 

@@ -1,4 +1,4 @@
-"""Random law generation, dataset sampling, and plug-in estimation.
+"""Random law generation, dataset sampling, and the dataset CSV writer.
 
 All randomness flows through numpy's PCG64 generator seeded explicitly, so
 every artifact is reproducible from ``(seed, arguments)`` alone; datasets
@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, PositivityError
-from .laws import FullLaw, ObservedLaw
+# The data-mode reader and estimator live in ``data``, which loads no numpy;
+# they stay importable from here, where ``bench/tracing.py`` looks them up.
+from .data import _CODED, CellCounts, estimate_observed_law, parse_dataset_csv, read_dataset_file
+from .laws import FullLaw
 
 
 def random_law(seed: int, n_levels: int = 1) -> FullLaw:
@@ -79,8 +80,9 @@ class Dataset:
 
     Levels are carried as an index array plus the label tuple; oracle
     columns exist only when the dataset was drawn in oracle mode.
-    ``seed`` is the PCG64 seed a sampled dataset was drawn with, and
-    ``None`` for a dataset read from a file.
+    ``seed`` is the PCG64 seed a sampled dataset was drawn with, or
+    ``None``.  The rows serve the CSV writer; a file is read back as
+    :class:`~harmbounds.data.CellCounts`, which :meth:`cell_counts` also gives.
     """
 
     levels: tuple[str, ...]
@@ -99,6 +101,18 @@ class Dataset:
     @property
     def has_oracle(self) -> bool:
         return self.astar is not None
+
+    def cell_counts(self) -> CellCounts:
+        """Rows per coded cell, keyed as the CSV reader keys them, from one ``np.bincount``."""
+        columns = [self.r, self.level_idx, self.a, self.y]
+        shape = [2, len(self.levels), 2, 2]
+        if self.has_oracle:
+            columns += [self.astar, self.s]
+            shape += [2, 5]  # S is 1-4; index 0 stays empty
+        counts = np.bincount(np.ravel_multi_index(columns, shape), minlength=math.prod(shape))
+        cells = itertools.product(*map(range, shape))
+        return CellCounts(levels=self.levels, has_oracle=self.has_oracle,
+                          counts={cell: c for cell, c in zip(cells, counts.tolist()) if c})
 
 
 #: Outcome ``Y`` at flat index ``a * 5 + s``: ``Y^1`` is 1 in strata 1 and 3,
@@ -141,54 +155,11 @@ def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dat
                    astar=astar if oracle else None, s=s if oracle else None, seed=seed)
 
 
-def estimate_observed_law(data: Dataset, smoothing: float = 0.0) -> ObservedLaw:
-    """Plug-in observed law from cell frequencies.
-
-    ``smoothing`` adds that count to every ``(y, a)`` cell within each
-    ``(level, r)`` block before normalizing.  With zero smoothing, an
-    empty block or an empty trial arm is an error naming the cell.
-    """
-    if not (math.isfinite(smoothing) and smoothing >= 0.0):
-        raise ValueError("smoothing must be finite and non-negative")
-    levels = data.levels
-    k = len(levels)
-    # flat code over (level, r, y, a)
-    code = ((data.level_idx * 2 + data.r) * 2 + data.y) * 2 + data.a
-    counts = np.bincount(code, minlength=k * 8).reshape(k, 2, 2, 2).astype(float)
-
-    p_level = {}
-    p_r1 = {}
-    p_ya: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
-    n = data.n
-    for i, l in enumerate(levels):
-        level_total = counts[i].sum()
-        p_level[l] = level_total / n
-        p_r1[l] = (counts[i, 1].sum() / level_total) if level_total > 0 else 0.0
-        for r in (0, 1):
-            block = counts[i, r] + smoothing
-            total = block.sum()
-            if total <= 0.0:
-                raise PositivityError(f"empty block (level {l!r}, R={r})")
-            if r == 1 and smoothing == 0.0:
-                for a in (0, 1):
-                    if block[:, a].sum() == 0.0:
-                        raise PositivityError(f"empty arm (level {l!r}, R=1, A={a})")
-            p_ya[(l, r)] = {(y, a): float(block[y, a] / total)
-                            for y in (0, 1) for a in (0, 1)}
-
-    return ObservedLaw(levels=levels, p_level=p_level, p_r1=p_r1, p_ya=p_ya)
-
-
 # ---------------------------------------------------------------------------
-# CSV round-trip.  Header `R,L,A,Y` (+`,ASTAR,S` in oracle mode); a sampled
-# dataset's file starts with the comment `# pcg64 seed=S n=N`, which the
-# reader skips.  A dataset has few distinct lines (at most 8 per level, 64
-# in oracle mode), so both directions work on a table of those lines and
-# move rows with one numpy gather per column.
+# CSV writer, in the format ``data`` reads.  A dataset has few distinct lines
+# (at most 8 per level, 64 in oracle mode), so the writer builds a table of
+# those lines and moves rows into the text with one numpy gather.
 # ---------------------------------------------------------------------------
-
-#: Integer-coded columns in file order and the values each allows.
-_CODED = (("R", (0, 1)), ("A", (0, 1)), ("Y", (0, 1)), ("ASTAR", (0, 1)), ("S", (1, 2, 3, 4)))
 
 
 def format_dataset_csv(data: Dataset) -> str:
@@ -216,73 +187,3 @@ def format_dataset_csv(data: Dataset) -> str:
     head = f"# pcg64 seed={data.seed} n={data.n}\n" if data.seed is not None else ""
     head += ",".join(name for name, _ in fields) + "\n"
     return head + "".join(table[code].tolist())
-
-
-def parse_dataset_csv(text: str) -> Dataset:
-    """Parse dataset CSV text.
-
-    Blank lines and lines starting with ``#`` are skipped wherever they
-    occur, and fields are whitespace-stripped.  Error line numbers count
-    the other lines, the header being line 1.  Each distinct line is split
-    and checked once, and a row is kept as the id of its line.
-    """
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a line not seen before gets the next id
-    lines = text.splitlines()
-    row_ids = np.fromiter(map(ids.__getitem__, lines), dtype=np.intp, count=len(lines))
-    distinct = list(ids)
-    skip = np.array([not ln.strip() or ln.startswith("#") for ln in distinct], dtype=bool)
-    kept = row_ids[~skip[row_ids]]
-    if kept.size == 0:
-        raise FileFormatError("dataset file has no header")
-    header_line = distinct[kept[0]]
-    header = [h.strip().upper() for h in header_line.split(",")]
-    if header[:4] != ["R", "L", "A", "Y"]:
-        raise FileFormatError("dataset header must start with R,L,A,Y")
-    oracle = header == ["R", "L", "A", "Y", "ASTAR", "S"]
-    if not oracle and header != ["R", "L", "A", "Y"]:
-        raise FileFormatError(f"unrecognized dataset header {header_line!r}")
-    rows = kept[1:]
-    if rows.size == 0:
-        raise FileFormatError("dataset file has no rows")
-
-    width = 6 if oracle else 4
-    parsed: dict[int, tuple[str, list[int]]] = {}
-    errors: dict[int, str] = {}
-    for i in np.flatnonzero(np.bincount(rows, minlength=len(distinct))).tolist():
-        parts = [p.strip() for p in distinct[i].split(",")]
-        if len(parts) != width:
-            errors[i] = f"expected {width} fields, got {len(parts)}"
-            continue
-        try:
-            coded = [int(p) for j, p in enumerate(parts) if j != 1]
-        except ValueError:
-            errors[i] = "non-integer coded field"
-            continue
-        if not parts[1]:
-            errors[i] = "empty level label"
-            continue
-        parsed[i] = (parts[1], coded)
-    if errors:
-        first = int(np.flatnonzero(np.isin(rows, list(errors)))[0])
-        raise FileFormatError(f"line {first + 2}: {errors[int(rows[first])]}")
-    for j, (name, values) in enumerate(_CODED[:width - 1]):
-        if any(coded[j] not in values for _, coded in parsed.values()):
-            raise FileFormatError(f"column {name} contains values outside {values}")
-
-    levels = tuple(sorted({label for label, _ in parsed.values()}))
-    index = {l: i for i, l in enumerate(levels)}
-    level_of = np.zeros(len(distinct), dtype=np.int64)
-    coded_of = np.zeros((width - 1, len(distinct)), dtype=np.int8)
-    for i, (label, coded) in parsed.items():
-        level_of[i] = index[label]
-        coded_of[:, i] = coded
-    r, a, y, *oracle_cols = (column[rows] for column in coded_of)
-    astar, s = oracle_cols or (None, None)
-    return Dataset(levels=levels, r=r, level_idx=level_of[rows], a=a, y=y,
-                   astar=astar, s=s, seed=None)
-
-
-def read_dataset_file(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset_csv(fh.read())

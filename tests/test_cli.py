@@ -298,6 +298,101 @@ def test_reused_parser_keeps_no_state_between_calls(e1_law_path, pen3_util_path)
     assert cli.build_parser.cache_info().misses == 1
 
 
+# Data-mode commands on the simulate_golden CSVs (with surv_pen3.util where a
+# utility is needed): golden-file stem and arguments.  Every one exits 0.
+DATA_GOLDEN = [
+    ("identify", ["identify"]),
+    ("bounds_fuse", ["bounds", "--fuse", "--tol", "0.02"]),
+    ("decide_cf_minimax_regret_fuse",
+     ["decide", "--criterion", "cf-minimax-regret", "--fuse", "--tol", "0.02"]),
+]
+
+
+def golden_csv_path(stem: str) -> str:
+    return os.path.join(DATA_DIR, "simulate_golden", f"{stem}.csv")
+
+
+def data_golden(name: str) -> str:
+    with open(os.path.join(DATA_DIR, "data_golden", f"{name}.txt"), "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+@pytest.mark.parametrize("form", ["table", "machine"])
+@pytest.mark.parametrize("smoothing", ["0", "0.1"])
+@pytest.mark.parametrize("csv", ["e1_n400_seed7", "e1_n400_seed7_oracle"])
+@pytest.mark.parametrize("stem, argv", DATA_GOLDEN, ids=[c[0] for c in DATA_GOLDEN])
+def test_data_mode_output_matches_golden_file(pen3_util_path, stem, argv, csv, smoothing,
+                                              form):
+    args = [*argv, "--data", golden_csv_path(csv), "--smoothing", smoothing]
+    if argv[0] == "decide":
+        args += ["--utility", pen3_util_path]
+    name = f"{csv}_{stem}_smoothing{smoothing}"
+    if form == "machine":
+        args.append("--machine")
+        name += "_machine"
+    assert run(*args) == (0, data_golden(name), "")
+
+
+class TestDataFileText:
+    """How a ``--data`` file's bytes become lines; each case ends in ``identify --machine``."""
+
+    #: The line breaks ``str.splitlines`` honours besides "\n".
+    BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @staticmethod
+    def identify(tmp_path, data: bytes):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        return run("identify", "--data", str(path), "--machine")
+
+    @staticmethod
+    def text() -> str:
+        with open(golden_csv_path("e1_n400_seed7"), encoding="utf-8") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("where", ["row_end", "only"])
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    def test_any_line_break_ends_a_row(self, tmp_path, brk, where):
+        # before every "\n" (a blank line after each row), or in place of it
+        text = self.text().replace("\n", brk + "\n" if where == "row_end" else brk)
+        want = data_golden("e1_n400_seed7_identify_smoothing0_machine")
+        assert self.identify(tmp_path, text.encode("utf-8")) == (0, want, "")
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    def test_a_line_break_inside_a_row_splits_it(self, tmp_path, brk):
+        lines = self.text().split("\n")
+        row = lines[5]  # file line 5 after the comment and the header
+        lines[5] = row.replace(",", brk, 1)
+        assert self.identify(tmp_path, "\n".join(lines).encode("utf-8")) == (
+            2, "", "error: line 5: expected 4 fields, got 1\n")
+        lines[5] = row.replace(",", "," + brk, 2)
+        assert self.identify(tmp_path, "\n".join(lines).encode("utf-8")) == (
+            2, "", "error: line 5: expected 4 fields, got 2\n")
+
+    def test_no_final_newline(self, tmp_path):
+        want = data_golden("e1_n400_seed7_identify_smoothing0_machine")
+        assert self.identify(tmp_path, self.text().rstrip("\n").encode("utf-8")) == (
+            0, want, "")
+
+    def test_byte_order_mark_is_part_of_the_first_line(self, tmp_path):
+        want = (2, "", "error: dataset header must start with R,L,A,Y\n")
+        bom = "\ufeff".encode("utf-8")
+        text = self.text()
+        assert self.identify(tmp_path, bom + text.encode("utf-8")) == want
+        assert self.identify(tmp_path, bom + text.split("\n", 1)[1].encode("utf-8")) == want
+
+    @pytest.mark.parametrize("data, position", [
+        # past the first 8 KB: the position counts from the start of the file
+        (b"R,L,A,Y\n" + b"1,l0,1,0\n0,l0,0,1\n1,l0,0,1\n" * 1000 + b"1,l\xff0,1,0\n"
+         + b"0,l0,1,1\n" * 10, "byte 0xff in position 27011: invalid start byte"),
+        (b"R,L,A,Y\n1,l0,1,0\n0,\xe2\x82,1,1\n",
+         "bytes in position 19-20: invalid continuation byte"),
+    ], ids=["late", "early"])
+    def test_undecodable_byte(self, tmp_path, data, position):
+        assert self.identify(tmp_path, data) == (
+            2, "", f"error: 'utf-8' codec can't decode {position}\n")
+
+
 class TestBounds:
     def test_fused_fixture_lines(self, e1_law_path):
         code, out, _ = run("bounds", "--law", e1_law_path, "--fuse")
@@ -553,3 +648,18 @@ def test_law_mode_commands_do_not_load_numpy(e1_law_path, pen3_util_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0, 0, 0, 0] False\n"
+
+
+def test_data_mode_commands_do_not_load_numpy(pen3_util_path):
+    data = golden_csv_path("e1_n400_seed7_oracle")
+    commands = [["identify", "--fuse", "--tol", "0.02"], ["bounds", "--smoothing", "0.1"],
+                ["decide", "--utility", pen3_util_path, "--criterion", "cf-minimax-regret",
+                 "--fuse", "--tol", "0.02"]]
+    script = ("import contextlib, io, sys\n"
+              "from harmbounds.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv + ['--data', {data!r}]) for argv in {commands!r}]\n"
+              "print(codes, [m for m in ('numpy', 'harmbounds.simulate') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"

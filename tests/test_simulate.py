@@ -2,16 +2,18 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmbounds import (Dataset, FileFormatError, FullLaw, PositivityError, att_atu,
-                        exp_potential_mean, estimate_observed_law,
+from harmbounds import (CellCounts, Dataset, FileFormatError, FullLaw, ObservedLaw,
+                        PositivityError, att_atu, exp_potential_mean, estimate_observed_law,
                         format_dataset_csv, fused_potential_mean,
                         observed_from_full, parse_dataset_csv, potential_outcome,
-                        random_law, sample_dataset)
+                        random_law, read_dataset_file, sample_dataset)
 
 from conftest import DATA_DIR, unconfounded
 
@@ -169,6 +171,14 @@ class TestEstimation:
         for block in est.p_ya.values():
             assert min(block.values()) > 0.0
 
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1, 0.3, 0.7, 1e-9])
+    def test_same_floats_from_rows_counts_and_numpy(self, smoothing):
+        # exact equality: 6-decimal output would hide a change in the last bits
+        data = sample_dataset(random_law(3, n_levels=3), 20_000, seed=5, oracle=True)
+        est = estimate_observed_law(data, smoothing)
+        assert est == reference_estimate(data, smoothing)
+        assert estimate_observed_law(parse_dataset_csv(format_dataset_csv(data)), smoothing) == est
+
     def test_negative_smoothing_rejected(self, law_e1):
         data = sample_dataset(law_e1, 10, seed=8)
         with pytest.raises(ValueError):
@@ -194,20 +204,32 @@ class TestEstimation:
                         fused_potential_mean(truth, a, astar, l), abs=0.01)
 
 
-def reference_parse(text: str) -> Dataset:
-    """Per-row reader of a valid dataset CSV."""
+def reference_parse(text: str) -> CellCounts:
+    """Per-row reader of a valid dataset CSV, counting its rows by cell."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     oracle = len(lines[0].split(",")) == 6
     rows = [[p.strip() for p in ln.split(",")] for ln in lines[1:]]
     levels = tuple(sorted({row[1] for row in rows}))
+    cells = Counter((int(row[0]), levels.index(row[1]), *(int(p) for p in row[2:]))
+                    for row in rows)
+    return CellCounts(levels=levels, counts=cells, has_oracle=oracle)
 
-    def column(j):
-        return np.array([int(row[j]) for row in rows], dtype=np.int8)
 
-    return Dataset(levels=levels, r=column(0),
-                   level_idx=np.array([levels.index(row[1]) for row in rows], dtype=np.int64),
-                   a=column(2), y=column(3), astar=column(4) if oracle else None,
-                   s=column(5) if oracle else None, seed=None)
+def reference_estimate(data: Dataset, smoothing: float) -> ObservedLaw:
+    """Plug-in law from a numpy count array, summed in numpy's order."""
+    k = len(data.levels)
+    code = ((data.level_idx * 2 + data.r) * 2 + data.y) * 2 + data.a
+    counts = np.bincount(code, minlength=k * 8).reshape(k, 2, 2, 2).astype(float)
+    p_ya = {}
+    for i, l in enumerate(data.levels):
+        for r in (0, 1):
+            block = counts[i, r] + smoothing
+            p_ya[(l, r)] = {(y, a): float(block[y, a] / block.sum())
+                            for y in (0, 1) for a in (0, 1)}
+    return ObservedLaw(levels=data.levels,
+                       p_level={l: counts[i].sum() / data.n for i, l in enumerate(data.levels)},
+                       p_r1={l: counts[i, 1].sum() / counts[i].sum()
+                             for i, l in enumerate(data.levels)}, p_ya=p_ya)
 
 
 def reference_format(data: Dataset) -> str:
@@ -220,12 +242,17 @@ def reference_format(data: Dataset) -> str:
     return text
 
 
+#: Line breaks ``str.splitlines`` honours besides "\n" and "\r\n".
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @st.composite
 def csv_cases(draw):
     """A dataset of 1-4 levels and a CSV text of its rows.
 
-    The text pads fields with spaces and tabs, mixes '\\n' and '\\r\\n'
-    endings and puts blank and '#' lines anywhere.
+    The text pads fields with spaces and tabs, ends lines at any line
+    break ``str.splitlines`` honours (mostly '\\n' and '\\r\\n') and puts
+    blank and '#' lines anywhere.
     """
     n_levels = draw(st.integers(1, 4))
     levels = tuple(draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3),
@@ -250,7 +277,8 @@ def csv_cases(draw):
         fields[1] = levels[row[1]]
         lines.append(line(fields[:width]))
     lines += draw(filler)
-    text = "".join(ln + draw(st.sampled_from(["\n", "\r\n"])) for ln in lines)
+    breaks = st.sampled_from(["\n"] * 5 + ["\r\n"] * 5 + LINE_BREAKS)
+    text = "".join(ln + draw(breaks) for ln in lines)
 
     columns = [np.array(c, dtype=np.int8) for c in zip(*rows)]
     data = Dataset(levels=levels, r=columns[0], level_idx=columns[1].astype(np.int64),
@@ -260,21 +288,62 @@ def csv_cases(draw):
     return text, data
 
 
+# Malformed dataset texts and the start of the reader's error message.
+MALFORMED = [
+    ("", "no header"),
+    ("R,L,A\n", "must start with"),
+    ("R,L,A,Y,EXTRA\n0,l0,0,0,1\n", "unrecognized dataset header"),
+    ("R,L,A,Y\n0,l0,0\n", "expected 4 fields"),
+    ("R,L,A,Y\n0,l0,0,x\n", "non-integer"),
+    ("R,L,A,Y\n2,l0,0,0\n", "outside"),
+    ("R,L,A,Y\n-1,l0,0,0\n", "column R contains values outside"),
+    ("R,L,A,Y\n300,l0,0,0\n", "column R contains values outside"),
+    ("R,L,A,Y\n", "no rows"),
+    # the first bad line wins; blank and '#' lines are not counted
+    ("R,L,A,Y\n0,l0,0,0\n0,l0,x,0\n0,l0,0\n", "line 3: non-integer"),
+    ("R,L,A,Y\n0,l0,0,0\n0,l0,0\n0,l0,x,0\n0,l0,0\n", "line 3: expected 4 fields, got 3"),
+    ("# seed\nR,L,A,Y\n\n# note\n0,l0,0,0\n   \n0,l0,0\n", "line 3: expected 4 fields"),
+    ("R,L,A,Y\n0,l0,0,0\nR,L,A,Y\n", "line 3: non-integer"),
+    # no law file can declare an empty level; a non-integer field is reported first
+    ("R,L,A,Y\n0,l0,0,0\n1,,1,0\n", "line 3: empty level label"),
+    ("R,L,A,Y\n0,l0,0,0\n1, \t ,1,0\n", "line 3: empty level label"),
+    ("R,L,A,Y\n1,,x,0\n", "line 2: non-integer"),
+    # a field-count or non-integer error beats a range error on an earlier line
+    ("R,L,A,Y\n2,l0,0,0\n0,l0,0,x\n", "line 3: non-integer"),
+    ("R,L,A,Y\n2,l0,0,0\n0,l0,0,0,0\n", "line 3: expected 4 fields, got 5"),
+    # range errors come in column order R, A, Y, ASTAR, S
+    ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n3,l0,0,0\n", "column R "),
+    ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n", "column A "),
+    ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n0,l0,0,2,1,1\n", "column Y "),
+    ("R,L,A,Y,ASTAR,S\n0,l0,0,0,0,9\n0,l0,0,0,3,1\n", "column ASTAR "),
+    ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n", "column S "),
+]
+
+
 class TestCsv:
     def test_round_trip(self, law_e1):
         data = sample_dataset(law_e1, 100, seed=13, oracle=True)
         text = format_dataset_csv(data)
         assert text.startswith("# pcg64 seed=13 n=100\nR,L,A,Y,ASTAR,S\n")
         back = parse_dataset_csv(text)
-        assert np.array_equal(back.y, data.y)
-        assert np.array_equal(back.s, data.s)
-        assert back.levels == data.levels
+        assert back == data.cell_counts()
+        assert back.levels == data.levels and back.has_oracle and back.n == 100
+        assert len(next(iter(back.counts))) == 6
 
     def test_round_trip_without_oracle(self, law_e1):
         data = sample_dataset(law_e1, 100, seed=13)
         back = parse_dataset_csv(format_dataset_csv(data))
-        assert not back.has_oracle
-        assert np.array_equal(back.a, data.a)
+        assert back == data.cell_counts()
+        assert back.levels == data.levels and not back.has_oracle
+        assert len(next(iter(back.counts))) == 4
+
+    def test_counts_are_read_only_and_pickle(self, law_e1):
+        counts = sample_dataset(law_e1, 50, seed=2, oracle=True).cell_counts()
+        with pytest.raises(TypeError):
+            counts.counts[(0, 0, 0, 0, 0, 1)] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            counts.levels = ("x",)
+        assert pickle.loads(pickle.dumps(counts)) == counts
 
     def test_format_rejects_uncoded_values(self, law_e1):
         data = sample_dataset(law_e1, 10, seed=13, oracle=True)
@@ -283,50 +352,29 @@ class TestCsv:
         with pytest.raises(ValueError, match="column L contains values outside"):
             format_dataset_csv(dataclasses.replace(data, level_idx=data.level_idx - 1))
 
-    @pytest.mark.parametrize("text, message", [
-        ("", "no header"),
-        ("R,L,A\n", "must start with"),
-        ("R,L,A,Y,EXTRA\n0,l0,0,0,1\n", "unrecognized dataset header"),
-        ("R,L,A,Y\n0,l0,0\n", "expected 4 fields"),
-        ("R,L,A,Y\n0,l0,0,x\n", "non-integer"),
-        ("R,L,A,Y\n2,l0,0,0\n", "outside"),
-        ("R,L,A,Y\n-1,l0,0,0\n", "column R contains values outside"),
-        ("R,L,A,Y\n300,l0,0,0\n", "column R contains values outside"),
-        ("R,L,A,Y\n", "no rows"),
-        # the first bad line wins; blank and '#' lines are not counted
-        ("R,L,A,Y\n0,l0,0,0\n0,l0,x,0\n0,l0,0\n", "line 3: non-integer"),
-        ("R,L,A,Y\n0,l0,0,0\n0,l0,0\n0,l0,x,0\n0,l0,0\n", "line 3: expected 4 fields, got 3"),
-        ("# seed\nR,L,A,Y\n\n# note\n0,l0,0,0\n   \n0,l0,0\n", "line 3: expected 4 fields"),
-        ("R,L,A,Y\n0,l0,0,0\nR,L,A,Y\n", "line 3: non-integer"),
-        # no law file can declare an empty level; a non-integer field is reported first
-        ("R,L,A,Y\n0,l0,0,0\n1,,1,0\n", "line 3: empty level label"),
-        ("R,L,A,Y\n0,l0,0,0\n1, \t ,1,0\n", "line 3: empty level label"),
-        ("R,L,A,Y\n1,,x,0\n", "line 2: non-integer"),
-        # a field-count or non-integer error beats a range error on an earlier line
-        ("R,L,A,Y\n2,l0,0,0\n0,l0,0,x\n", "line 3: non-integer"),
-        ("R,L,A,Y\n2,l0,0,0\n0,l0,0,0,0\n", "line 3: expected 4 fields, got 5"),
-        # range errors come in column order R, A, Y, ASTAR, S
-        ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n3,l0,0,0\n", "column R "),
-        ("R,L,A,Y\n0,l0,0,5\n0,l0,7,0\n", "column A "),
-        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n0,l0,0,2,1,1\n", "column Y "),
-        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,0,9\n0,l0,0,0,3,1\n", "column ASTAR "),
-        ("R,L,A,Y,ASTAR,S\n0,l0,0,0,1,0\n", "column S "),
-    ])
+    @pytest.mark.parametrize("text, message", MALFORMED)
     def test_malformed(self, text, message):
         with pytest.raises(FileFormatError, match=message):
             parse_dataset_csv(text)
 
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_file_reader_gives_the_same_message(self, tmp_path, text, message):
+        with pytest.raises(FileFormatError) as from_text:
+            parse_dataset_csv(text)
+        path = tmp_path / "d.csv"
+        for data in (text.encode("utf-8"), text.replace("\n", "\r\n").encode("utf-8")):
+            path.write_bytes(data)
+            with pytest.raises(FileFormatError) as from_file:
+                read_dataset_file(str(path))
+            assert str(from_file.value) == str(from_text.value)
+
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=csv_cases())
-    def test_matches_per_row_reference(self, case):
+    def test_matches_per_row_reference(self, tmp_path_factory, case):
         text, data = case
         parsed = parse_dataset_csv(text)
-        expected = reference_parse(text)
-        assert parsed.levels == expected.levels
-        for name in ("r", "level_idx", "a", "y", "astar", "s"):
-            got, want = getattr(parsed, name), getattr(expected, name)
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert parsed == reference_parse(text)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_dataset_file(str(path)) == parsed
         assert format_dataset_csv(data) == reference_format(data)
