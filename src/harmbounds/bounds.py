@@ -40,8 +40,8 @@ The eight joint cells ``P(S=s, A*=a | l)`` then move with ``x`` or with
 (Tian & Pearl, 2000).  The right-hand sides are used as given (the
 observational block need not sum to exactly 1).  Slack ``tol`` absorbs
 input noise: a root ``c`` of one of a variable's lines counts when each
-of that variable's other lines holds at ``c`` within ``tol``, which for
-``tol >= 0`` is the window ``max(lower) - tol <= c <= min(upper) + tol``.
+of that variable's other lines holds at ``c`` within ``tol``, that is,
+in the window ``max(lower) - tol <= c <= min(upper) + tol``.
 The range of ``p`` is the sum of the counted extremes, and a window that
 counts nothing means the blocks are incompatible.  The arithmetic is
 exact: every input float, and ``tol``, is an integer at one power-of-two
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleLawsError
-from .identify import DEFAULT_TOL, exp_potential_mean
+from .identify import DEFAULT_TOL, check_tol, exp_potential_mean
 from .laws import FullLaw, ObservedLaw, stratum_margins
 
 _SOURCES = ("experimental-only", "fused", "true-law")
@@ -138,6 +138,7 @@ def fused_lower_bound_s1(obs: ObservedLaw, l: str) -> float:
 
 def fused_bounds(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> StrataBounds:
     """Sharp bounds from both blocks: ``p = x + z`` over the two windows above."""
+    check_tol(tol)
     p_y1 = exp_potential_mean(obs, 1, l)
     p_y0 = exp_potential_mean(obs, 0, l)
     cells = (obs.p_joint(y, a, l, 0) for y, a in ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -157,8 +158,6 @@ def _counted_roots(lower: tuple[int, int], upper: tuple[int, int], tol: int) -> 
     """Roots of a variable's bounding lines that every other line admits within ``tol``.
 
     These are the variable's values at the vertices of the fused polytope.
-    A root is not checked against its own line, which matters only when
-    ``tol`` is negative.
     """
     (lo0, lo1), (hi0, hi1) = lower, upper
     top, bottom = max(lower) - tol, min(upper) + tol

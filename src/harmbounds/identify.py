@@ -29,6 +29,7 @@ answered imprecisely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,6 +38,12 @@ from .laws import ObservedLaw
 
 #: Default slack for the model-compatibility check on fused ratios.
 DEFAULT_TOL = 1e-9
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a slack ``tol`` that is not a finite, non-negative number."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and non-negative")
 
 
 def _check_action(a: int, name: str = "a") -> None:
@@ -126,6 +133,7 @@ def identified_means(obs: ObservedLaw, fuse: bool = False,
     ``sum_a* E[Y^a|A*=a*,l] P(A*=a*|l) = E[Y^a|l]`` on the fused block
     (up to clamping slack) before returning.
     """
+    check_tol(tol)
     exp: dict[tuple[str, int], float] = {}
     for l in obs.levels:
         for a in (0, 1):

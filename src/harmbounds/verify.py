@@ -26,10 +26,11 @@ verifying the clipped form that survives.
 ``sharpness`` checks the closed forms of :mod:`harmbounds.bounds`, both
 endpoints of the fused interval included, against the exact
 vertex-enumeration LP defined here (:func:`sharp_bounds_lp`), which the
-package uses nowhere else.  The LP runs in plain integers: its 0/1
-constraint structure is eliminated once and cached as integer maps, and
-each call scales its float inputs to integers at one power-of-two
-denominator and divides once at the end.
+package uses nowhere else.  The LP runs in plain integers: each of its two
+fixed 0/1 constraint structures is eliminated once into distinct integer
+rows, with each basis an index per cell into their values, and each call
+scales its float inputs to integers at one power-of-two denominator and
+divides once at the end.
 """
 
 from __future__ import annotations
@@ -38,19 +39,21 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
 from .errors import IncompatibleLawsError
-from .identify import DEFAULT_TOL, att_atu, exp_potential_mean, fused_potential_mean
-from .laws import (STRATA, FullLaw, ObservedLaw, observed_from_full, potential_outcome,
-                   stratum_margins)
+from .identify import DEFAULT_TOL, att_atu, check_tol, exp_potential_mean, fused_potential_mean
+from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw, observed_from_full,
+                   potential_outcome, stratum_margins)
 from .simulate import random_law
 
 MAX_FAILURES = 5
+#: ``run_sweeps`` draws its law seeds this many at a time, so memory does not grow with ``trials``.
+_SEED_BLOCK = 4096
 
 #: Intention-group effects within this of zero are sign ties, which ``s5`` skips.
 S5_TIE_TOL = 1e-9
@@ -109,9 +112,11 @@ def run_sweeps(props: Sequence[str], trials: int, seed: int, **options) -> list[
     checks = [_CHECKS[name](trials, seed, **options) for name in props]
     results = [SweepResult(name, trials, 0) for name in props]
     push_forward = not _READS_OBSERVED.isdisjoint(props)
-    law_seeds = np.random.default_rng(seed).integers(0, 2**63, size=trials)
+    seed_rng = np.random.default_rng(seed)
     for i in range(trials):
-        law = random_law(int(law_seeds[i]), n_levels=1 + i % 3)
+        if i % _SEED_BLOCK == 0:  # blocks continue the stream one draw would give
+            law_seeds = seed_rng.integers(0, 2**63, size=min(_SEED_BLOCK, trials - i))
+        law = random_law(int(law_seeds[i % _SEED_BLOCK]), n_levels=1 + i % 3)
         obs = observed_from_full(law) if push_forward else None
         for (check, _), result in zip(checks, results):
             failure = check(i, law, obs)
@@ -175,8 +180,8 @@ def regime_value(law: FullLaw, regime: Regime) -> float:
                 if not 0.0 <= g <= 1.0:
                     raise ValueError(
                         f"regime {regime.name!r} returned {g!r} at ({l!r}, {astar}, {s})")
-                total += weight * (g * potential_outcome(s, 1)
-                                   + (1.0 - g) * potential_outcome(s, 0))
+                y1, y0 = STRATUM_OUTCOMES[s]
+                total += weight * (g * y1 + (1.0 - g) * y0)
     return total
 
 
@@ -305,19 +310,39 @@ def sweep_s5(trials: int, seed: int) -> _Checks:
 # cell probabilities q(s, a) = P(S=s, A*=a | l) over the 8 cells, cut by the
 # linear equalities the observed blocks impose; a linear functional attains
 # its extrema at vertices, and every column basis of the system is tried.
-# The coefficient rows are fixed 0/1 patterns, so the elimination depends
-# only on the structure: it is done once per structure, fraction-free, and
-# cached as integer maps at one common scale (1 for both systems here,
-# since every basis inverse has entries in {-1, 0, 1}).  Per call, the
-# right-hand sides and ``tol`` are integers at their common power-of-two
-# denominator (every float is dyadic), every step is ``int`` arithmetic,
-# and each result is one correctly rounded ``int / int``, so it equals
-# exact rational arithmetic bit for bit.  This shares no code with the
-# closed forms in bounds.py.
+# The two 0/1 coefficient structures are module constants, and each is
+# eliminated once, fraction-free, into integer maps at one common scale (1
+# here: every basis inverse has entries in {-1, 0, 1}).  The maps' rows
+# repeat across bases, so each distinct row is kept once and a basis is an
+# index per cell into the values of those rows, plus one zero slot.  Per
+# call, the right-hand sides and ``tol`` are integers at their common
+# power-of-two denominator (every float is dyadic), each distinct row is
+# one ``int`` dot product, each vertex is read off by index, and each
+# result is one correctly rounded ``int / int``: exact rational arithmetic
+# bit for bit.  This shares no code with the closed forms in bounds.py.
 # ---------------------------------------------------------------------------
 
 #: Variable order for the joint-cell polytope: (stratum, intention).
 _Q_CELLS = tuple((s, astar) for s in STRATA for astar in (0, 1))
+
+
+def _structure(cells_by_label: Mapping[str, set[tuple[int, int]]]
+               ) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """0/1 coefficient rows over :data:`_Q_CELLS`, and their labels, one per entry."""
+    return (tuple(tuple(int(c in cells) for c in _Q_CELLS) for cells in cells_by_label.values()),
+            tuple(cells_by_label))
+
+
+_MARGINS = {"margin Y under a=1": {c for c in _Q_CELLS if c[0] in (1, 3)},
+            "margin Y under a=0": {c for c in _Q_CELLS if c[0] in (2, 3)}}
+#: The observational cells ``(y, a)``, in the order of the fused system's rows.
+_OBSERVED_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+#: ``(rows, row_labels)`` of the trial-only and the fused system.
+_TRIAL_STRUCTURE = _structure({**_MARGINS, "normalization": set(_Q_CELLS)})
+_FUSED_STRUCTURE = _structure({**_MARGINS, **{
+    f"observational cell (Y={y}, A={a})": {(s, aa) for s, aa in _Q_CELLS
+                                           if aa == a and potential_outcome(s, a) == y}
+    for y, a in _OBSERVED_CELLS}})
 
 
 @dataclass(frozen=True)
@@ -338,16 +363,21 @@ class _LinearConstraintSystem:
 class _Elimination:
     """The elimination of one coefficient structure, as integer maps over ``scale``.
 
-    For a right-hand side ``b``, each entry of ``residuals`` pairs the index
-    of a dependent row with the vector ``c`` such that ``c . b / scale`` is
-    what elimination leaves of that row's right-hand side.  Each entry of
-    ``bases`` pairs an invertible column basis with the matrix ``M`` such
-    that ``M b / scale`` are the basic coordinates of its vertex.
+    ``rows`` are the distinct rows of every map.  For a right-hand side
+    ``b``, a call needs only the values ``rows[k] . b / scale``, followed by
+    one zero slot at index ``len(rows)``.  Each entry of ``residuals`` pairs
+    the index of a dependent constraint with the index of the value
+    elimination leaves of its right-hand side.  Each entry of ``bases``
+    belongs to one invertible column basis and holds, per cell, the index
+    of that cell's vertex coordinate (the zero slot for a non-basic cell);
+    the same entry of ``picks`` reads that vertex off the values.
     """
 
     scale: int
-    residuals: tuple[tuple[int, tuple[int, ...]], ...]
-    bases: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+    rows: tuple[tuple[int, ...], ...]
+    residuals: tuple[tuple[int, int], ...]
+    bases: tuple[tuple[int, ...], ...]
+    picks: tuple[itemgetter, ...]
 
 
 def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> _LinearConstraintSystem:
@@ -357,31 +387,14 @@ def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> _LinearConstr
     With ``fuse`` the four observational cells are added (normalization is
     then implied and omitted).
     """
-    p_y1 = exp_potential_mean(obs, 1, l)
-    p_y0 = exp_potential_mean(obs, 0, l)
-
-    rows: list[tuple[int, ...]] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-
-    def add(cells_in: set[tuple[int, int]], value: float, label: str) -> None:
-        rows.append(tuple(int(c in cells_in) for c in _Q_CELLS))
-        rhs.append(value)
-        labels.append(label)
-
-    add({(s, a) for (s, a) in _Q_CELLS if s in (1, 3)}, p_y1, "margin Y under a=1")
-    add({(s, a) for (s, a) in _Q_CELLS if s in (2, 3)}, p_y0, "margin Y under a=0")
+    rhs = (exp_potential_mean(obs, 1, l), exp_potential_mean(obs, 0, l))
     if fuse:
-        for y in (0, 1):
-            for a in (0, 1):
-                cells_in = {(s, aa) for (s, aa) in _Q_CELLS
-                            if aa == a and potential_outcome(s, a) == y}
-                add(cells_in, obs.p_joint(y, a, l, 0), f"observational cell (Y={y}, A={a})")
+        rows, labels = _FUSED_STRUCTURE
+        rhs += tuple(obs.p_joint(y, a, l, 0) for y, a in _OBSERVED_CELLS)
     else:
-        add(set(_Q_CELLS), 1.0, "normalization")
-
-    return _LinearConstraintSystem(cells=_Q_CELLS, rows=tuple(rows), rhs=tuple(rhs),
-                                   row_labels=tuple(labels))
+        rows, labels = _TRIAL_STRUCTURE
+        rhs += (1.0,)
+    return _LinearConstraintSystem(cells=_Q_CELLS, rows=rows, rhs=rhs, row_labels=labels)
 
 
 def stratum_target(s: int) -> dict[tuple[int, int], float]:
@@ -400,25 +413,21 @@ def polytope_vertices(system: _LinearConstraintSystem,
     by rounding, and (ii) accepting marginally negative vertex
     coordinates; both only matter for noisy plug-in inputs.
     """
+    check_tol(tol)
     elimination = _eliminate(system.rows)
     rhs_scale, (*rhs, t) = _common_scale((*system.rhs, tol))
     slack = elimination.scale * t
     denominator = elimination.scale * rhs_scale
-    for k, residual in elimination.residuals:
-        off = _dot(residual, rhs)
-        if abs(off) > slack:
+    values = [_dot(row, rhs) for row in elimination.rows]
+    for k, j in elimination.residuals:
+        if abs(values[j]) > slack:
             raise IncompatibleLawsError(
                 f"incompatible observed law: constraint "
-                f"{system.row_labels[k]!r} is off by {off / denominator:.3g}")
-    vertices: list[tuple[int, ...]] = []
-    for basis, solve in elimination.bases:
-        basic = [_dot(row, rhs) for row in solve]
-        if min(basic) < -slack:
-            continue
-        full = [0] * len(system.cells)
-        for value, j in zip(basic, basis):
-            full[j] = value
-        vertices.append(tuple(full))
+                f"{system.row_labels[k]!r} is off by {values[j] / denominator:.3g}")
+    values.append(0)
+    negative = {k for k, value in enumerate(values) if value < -slack}
+    vertices = [pick(values) for slots, pick in zip(elimination.bases, elimination.picks)
+                if negative.isdisjoint(slots)]
     if not vertices:
         raise IncompatibleLawsError("incompatible observed law: the constraint polytope is empty")
     return vertices, denominator
@@ -435,12 +444,16 @@ def sharp_bounds_lp(system: _LinearConstraintSystem,
     (from :func:`polytope_vertices`) to evaluate several targets on one
     enumeration.
     """
+    check_tol(tol)
     unknown = set(target) - set(system.cells)
     if unknown:
         raise ValueError(f"target references unknown cells: {sorted(unknown)}")
-    coef_scale, coef = _common_scale([target.get(c, 0.0) for c in system.cells])
+    terms = [(system.cells.index(cell), c) for cell, c in target.items() if c]
+    coef_scale, coef = _common_scale([c for _, c in terms])
     points, denominator = polytope_vertices(system, tol) if vertices is None else vertices
-    values = [_dot(coef, v) for v in points]
+    values = [0] * len(points)
+    for (j, _), c in zip(terms, coef):  # a stratum target has two nonzero terms
+        values = [value + c * point[j] for value, point in zip(values, points)]
     denominator *= coef_scale
     return min(values) / denominator, max(values) / denominator
 
@@ -461,7 +474,7 @@ def _dot(a: Iterable[int], b: Iterable[int]) -> int:
 
 @lru_cache(maxsize=16)
 def _eliminate(rows: tuple[tuple[int, ...], ...]) -> _Elimination:
-    """Eliminate one coefficient structure exactly and put its maps at one integer scale."""
+    """Eliminate one coefficient structure exactly, with its distinct map rows at one scale."""
     reduced, transform, dependent = _echelon(rows)
     columns = list(zip(*transform))
     # Each map is an integer numerator matrix over an integer denominator.
@@ -470,14 +483,17 @@ def _eliminate(rows: tuple[tuple[int, ...], ...]) -> _Elimination:
              for basis, adjugate, det in _invertible_bases(reduced)]
     scale = lcm(*(abs(den) // gcd(v, den) for _, matrix, den in residuals + bases
                   for row in matrix for v in row))
+    table: dict[tuple[int, ...], int] = {}  # distinct scaled row -> its index
 
-    def scaled(matrix: Sequence[Sequence[int]], den: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(v * scale // den for v in row) for row in matrix)
+    def indices(matrix: Sequence[Sequence[int]], den: int) -> list[int]:
+        return [table.setdefault(tuple(v * scale // den for v in row), len(table))
+                for row in matrix]
 
-    return _Elimination(
-        scale=scale,
-        residuals=tuple((k, scaled(matrix, den)[0]) for k, matrix, den in residuals),
-        bases=tuple((basis, scaled(matrix, den)) for basis, matrix, den in bases))
+    residual_indices = tuple((k, indices(matrix, den)[0]) for k, matrix, den in residuals)
+    basic = [dict(zip(basis, indices(matrix, den))) for basis, matrix, den in bases]
+    slots = tuple(tuple(where.get(j, len(table)) for j in range(len(rows[0]))) for where in basic)
+    return _Elimination(scale=scale, rows=tuple(table), residuals=residual_indices,
+                        bases=slots, picks=tuple(itemgetter(*basis) for basis in slots))
 
 
 def _echelon(rows: tuple[tuple[int, ...], ...]) -> tuple[

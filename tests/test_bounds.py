@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from harmbounds import (IncompatibleLawsError, Regime, STRATA, exp_bounds,
                         exp_potential_mean, fused_bounds, fused_lower_bound_s1,
-                        improvement_test, observed_from_full, random_law,
+                        identified_means, improvement_test, observed_from_full, random_law,
                         regime_lower_bound, regime_value, stratum_margins)
 from harmbounds.bounds import family_bounds
 from harmbounds.verify import (polytope_vertices, sharp_bounds_lp, strata_system,
@@ -129,6 +129,18 @@ def fused_cases(draw):
         assume(total > 0.0)
         p_ya[(l, 0)] = {cell: p / total for cell, p in block.items()}
     return dataclasses.replace(obs, p_ya=p_ya), False, tol
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+@pytest.mark.parametrize("call", [
+    lambda obs, tol: identified_means(obs, fuse=True, tol=tol),
+    lambda obs, tol: fused_bounds(obs, "l0", tol),
+    lambda obs, tol: sharp_bounds_lp(strata_system(obs, "l0", fuse=True), stratum_target(1), tol),
+], ids=["identified_means", "fused_bounds", "sharp_bounds_lp"])
+def test_bad_tol_is_refused(obs_e1, call, tol):
+    # the rule the CLI applies to --tol, so a bad slack is never read as a fault of the law
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative$"):
+        call(obs_e1, tol)
 
 
 class TestSharpBoundsLP:

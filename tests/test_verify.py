@@ -1,10 +1,20 @@
 import dataclasses
+import hashlib
+import os
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from harmbounds import decide, verify
 from harmbounds.bounds import StrataBounds
+from harmbounds.errors import IncompatibleLawsError
+from harmbounds.identify import DEFAULT_TOL
+from harmbounds.laws import STRATA, observed_from_full, read_law_file
+from harmbounds.simulate import estimate_observed_law, random_law, sample_dataset
+
+from conftest import DATA_DIR
 
 
 def _shifted(by):
@@ -88,6 +98,39 @@ def test_each_trial_law_is_built_and_pushed_forward_once(monkeypatch, props, pus
     assert calls == {"random_law": 25, "observed_from_full": 25 if pushed_forward else 0}
 
 
+def test_law_seeds_are_drawn_in_blocks(monkeypatch):
+    # drawn in blocks, the seeds continue the stream one draw of them gives
+    whole = np.random.default_rng(5).integers(0, 2**63, size=10_000)
+    rng = np.random.default_rng(5)
+    blocks = [rng.integers(0, 2**63, size=min(4096, 10_000 - i)) for i in range(0, 10_000, 4096)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    props = ["s4", "sharpness", "s3"]
+    expected = verify.run_sweeps(props, 20, 3)
+    monkeypatch.setattr(verify, "_SEED_BLOCK", 7)
+    assert verify.run_sweeps(props, 20, 3) == expected
+
+
+def test_many_trials_start_without_a_large_allocation(monkeypatch):
+    calls = 0
+
+    def three_laws(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 3:
+            raise RuntimeError("stop")
+        return random_law(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_law", three_laws)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="stop"):
+            verify.run_sweeps(["s4"], 10**6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("prop", verify.PROPS)
 def test_sweeps_need_a_trial(prop):
     with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -97,20 +140,94 @@ def test_sweeps_need_a_trial(prop):
 @pytest.mark.parametrize("fuse", [False, True], ids=["trial", "fused"])
 def test_cached_basis_maps_are_integer(obs_e1, fuse):
     # The oracle's speed rests on this: the cached maps are exact at scale 1,
-    # because every basis inverse has entries in {-1, 0, 1}.
+    # because every basis inverse has entries in {-1, 0, 1}, and the bases
+    # share few distinct rows, each evaluated once per call.
     system = verify.strata_system(obs_e1, "l0", fuse=fuse)
     elimination = verify._eliminate(system.rows)
     assert elimination.scale == 1
     assert len(elimination.bases) == (16 if fuse else 32)
+    assert len(set(elimination.rows)) == len(elimination.rows) == (16 if fuse else 8)
+    assert all(type(x) is int for row in elimination.rows for x in row)
+    zero_slot = len(elimination.rows)
+    rank = len(system.rows) - len(elimination.residuals)
+    for slots in elimination.bases:
+        assert len(slots) == len(system.cells)
+        assert all(type(k) is int and 0 <= k <= zero_slot for k in slots)
+        assert sum(k != zero_slot for k in slots) == rank
     rng = random.Random(0)
     for _ in range(5):
         # any integer point gives a right-hand side the system is consistent with
         q = [rng.randint(-9, 9) for _ in system.cells]
         b = [sum(a * x for a, x in zip(row, q)) for row in system.rows]
-        for _, residual in elimination.residuals:
-            assert sum(c * x for c, x in zip(residual, b)) == 0
-        for basis, solve in elimination.bases:
-            assert all(type(x) is int for row in solve for x in row)
-            basic = [sum(m * x for m, x in zip(row, b)) for row in solve]
+        values = [sum(c * x for c, x in zip(row, b)) for row in elimination.rows] + [0]
+        for _, k in elimination.residuals:
+            assert values[k] == 0
+        for slots, pick in zip(elimination.bases, elimination.picks):
+            vertex = [values[k] for k in slots]
+            assert pick(values) == tuple(vertex)
             for row, rhs in zip(system.rows, b):
-                assert sum(row[j] * x for j, x in zip(basis, basic)) == elimination.scale * rhs
+                assert sum(a * x for a, x in zip(row, vertex)) == elimination.scale * rhs
+
+
+def _oracle_cases():
+    """``(name, observed law, tol)`` for every input the oracle golden file pins.
+
+    Interior laws at 1-3 levels, the ``e1.law`` fixture, dyadic laws whose
+    stratum blocks hold one to three exact zeros, and plug-in laws estimated
+    from 400 sampled rows, where ``tol`` 0.02 absorbs the sampling noise.
+    """
+    cases = [(f"random_law({seed},{1 + seed % 3})",
+              observed_from_full(random_law(seed, n_levels=1 + seed % 3)), DEFAULT_TOL)
+             for seed in range(200)]
+    cases.append(("e1.law", observed_from_full(read_law_file(os.path.join(DATA_DIR, "e1.law"))),
+                  DEFAULT_TOL))
+    rng = random.Random(0)
+    for seed in range(20):
+        law = random_law(1000 + seed, n_levels=2)
+        blocks = {}
+        for key in law.p_strata:
+            nonzero = rng.sample(range(4), rng.randint(1, 3))
+            cuts = sorted(rng.sample(range(1, 64), len(nonzero) - 1))
+            block = [0.0] * 4
+            for s, lo, hi in zip(nonzero, [0, *cuts], [*cuts, 64]):
+                block[s] = (hi - lo) / 64
+            blocks[key] = tuple(block)
+        law = dataclasses.replace(law, p_strata=blocks,
+                                  p_astar={l: rng.randint(1, 63) / 64 for l in law.levels})
+        cases.append((f"zero-cell({seed})", observed_from_full(law), DEFAULT_TOL))
+    for seed in range(40):
+        law = random_law(2000 + seed, n_levels=1 + seed % 2)
+        obs = estimate_observed_law(sample_dataset(law, 400, seed))
+        cases.append((f"plug-in({seed})", obs, 0.02))
+    return cases
+
+
+def _oracle_golden_lines():
+    """One line per (law, level, system, target): ``lo``, ``hi`` and the vertex enumeration."""
+    lines = []
+    for name, obs, tol in _oracle_cases():
+        for l in obs.levels:
+            for fuse in (False, True):
+                head = f"{name} {l} {'fused' if fuse else 'trial'}"
+                system = verify.strata_system(obs, l, fuse=fuse)
+                try:
+                    vertices = verify.polytope_vertices(system, tol)
+                except IncompatibleLawsError as exc:
+                    lines.append(f"{head}: {exc}")
+                    continue
+                points, denominator = vertices
+                digest = hashlib.sha256(repr(points).encode()).hexdigest()[:16]
+                for s in STRATA:
+                    lo, hi = verify.sharp_bounds_lp(system, verify.stratum_target(s), tol,
+                                                    vertices=vertices)
+                    lines.append(f"{head} S={s}: {lo.hex()} {hi.hex()} "
+                                 f"{denominator} {len(points)} {digest}")
+    return lines
+
+
+def test_lp_oracle_matches_golden():
+    # Pins every oracle value, vertex count and vertex list bit for bit;
+    # the sweeps only print pass counts, which a drift within
+    # SHARPNESS_TOL would leave unchanged.
+    with open(os.path.join(DATA_DIR, "lp_oracle_golden.txt")) as fh:
+        assert _oracle_golden_lines() == fh.read().splitlines()
