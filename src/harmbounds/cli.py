@@ -134,13 +134,15 @@ def _load_observed(args):
 def cmd_simulate(args) -> int:
     from . import simulate
     law = read_law_file(args.law)
-    data = simulate.sample_dataset(law, args.n, args.seed, oracle=args.oracle)
-    text = simulate.format_dataset_csv(data)
+    try:
+        pieces = simulate.dataset_csv_chunks(law, args.n, args.seed, oracle=args.oracle)
+    except ValueError as exc:  # a level label no CSV field can hold, refused before --out is opened
+        raise FileFormatError(str(exc)) from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 

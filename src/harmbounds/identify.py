@@ -62,6 +62,7 @@ def exp_potential_mean(obs: ObservedLaw, a: int, l: str) -> float:
 def fused_potential_mean(obs: ObservedLaw, a: int, astar: int, l: str,
                          tol: float = DEFAULT_TOL) -> float:
     """``E[Y^a | A*=astar, L=l]`` from the fused trial + observational blocks."""
+    check_tol(tol)
     _check_action(a)
     _check_action(astar, "astar")
     p_group = obs.p_a(astar, l, r=0)

@@ -9,9 +9,14 @@ Sampling follows the causal ordering of the model: level, then trial
 participation, then intention (independent of participation within a
 level), then stratum, then assignment (a coin inside the trial, the
 intention outside), then the outcome the stratum dictates for the
-received treatment.  Each step is one generator call over all rows, in
-that order: ``choice`` for the level, then ``random`` for R, A*, the
-stratum uniform and the coin.
+received treatment.  Those five draws are five columns of the one PCG64
+stream seeded with ``seed``: ``choice`` for the level, then ``random``
+for R, A*, the stratum uniform and the coin, each taking one 64-bit
+output per row, so column ``j`` takes outputs ``j * n`` to
+``(j + 1) * n - 1``.  Each column has its own generator, started there
+with ``PCG64.advance``, and rows are drawn in chunks of at most
+``CHUNK_ROWS``; the rows do not depend on the chunk size, and the
+``simulate`` writer holds one chunk at a time however large ``n`` is.
 
 The stratum is read from a ``(2k, 3)`` table of cut points: row
 ``level * 2 + astar`` holds the first three cumulative sums of that
@@ -21,6 +26,10 @@ never decrease, so a uniform that reaches it has reached the first three,
 and its row is in stratum 4 either way.  The outcome is read from a table indexed
 by received treatment and stratum, so no per-row temporary is wider
 than one column.
+
+A dataset has few distinct lines (at most 8 per level, 64 in oracle
+mode), so the CSV writer builds a table of those lines and turns a chunk
+of rows into text with one gather from it.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -120,15 +130,22 @@ class Dataset:
 _OUTCOME = np.array([0, 0, 1, 1, 0,
                      0, 1, 0, 1, 0], dtype=np.int8)
 
+#: Rows drawn, and written, at a time.
+CHUNK_ROWS = 2**16
 
-def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
-    """Draw ``n`` independent rows from the observed-data law of ``law``."""
+
+def _sample_chunks(law: FullLaw, n: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Columns ``(R, level index, A, Y, A*, S)`` of ``n`` rows, in chunks of at most ``CHUNK_ROWS``.
+
+    ``n`` is checked at once; the rows are drawn as the chunks are taken.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    # Column j takes draws j * n, j * n + 1, ... of the stream seeded with ``seed``.
+    level_rng, r_rng, astar_rng, stratum_rng, coin_rng = (
+        np.random.Generator(np.random.PCG64(seed).advance(j * n)) for j in range(5))
     levels = law.levels
     k = len(levels)
-
     p_level = np.array([law.p_level[l] for l in levels])
     p_level = p_level / p_level.sum()
     p_r1 = np.array([law.p_r1[l] for l in levels])
@@ -138,52 +155,93 @@ def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dat
     cut = np.cumsum([law.p_strata[(l, astar)] for l in levels for astar in (0, 1)],
                     axis=1)[:, :3]
 
-    li = rng.choice(k, size=n, p=p_level)
-    trial = rng.random(n) < p_r1[li]
-    astar = (rng.random(n) < p_astar[li]).view(np.int8)
-    u_s = rng.random(n)
-    group = li * 2 + astar
-    s = np.ones(n, dtype=np.int8)
-    for cut_j in cut.T:
-        s += u_s >= cut_j[group]
-    del u_s, group  # freed before the coin draw, so the peak holds two columns fewer
-    coin = (rng.random(n) < p_treat[li]).view(np.int8)
-    a = np.where(trial, coin, astar)
-    y = _OUTCOME[a * 5 + s]
+    def draw(m: int) -> tuple[np.ndarray, ...]:
+        li = level_rng.choice(k, size=m, p=p_level)
+        trial = r_rng.random(m) < p_r1[li]
+        astar = (astar_rng.random(m) < p_astar[li]).view(np.int8)
+        u_s = stratum_rng.random(m)
+        group = li * 2 + astar
+        s = np.ones(m, dtype=np.int8)
+        for cut_j in cut.T:
+            s += u_s >= cut_j[group]
+        coin = (coin_rng.random(m) < p_treat[li]).view(np.int8)
+        a = np.where(trial, coin, astar)
+        return trial.view(np.int8), li, a, _OUTCOME[a * 5 + s], astar, s
 
-    return Dataset(levels=levels, r=trial.view(np.int8), level_idx=li, a=a, y=y,
+    return map(draw, (min(CHUNK_ROWS, n - start) for start in range(0, n, CHUNK_ROWS)))
+
+
+def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
+    """Draw ``n`` independent rows from the observed-data law of ``law``."""
+    r, li, a, y, astar, s = map(np.concatenate, zip(*_sample_chunks(law, n, seed)))
+    return Dataset(levels=law.levels, r=r, level_idx=li, a=a, y=y,
                    astar=astar if oracle else None, s=s if oracle else None, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# CSV writer, in the format ``data`` reads.  A dataset has few distinct lines
-# (at most 8 per level, 64 in oracle mode), so the writer builds a table of
-# those lines and moves rows into the text with one numpy gather.
+# CSV writer, in the format ``data`` reads.
 # ---------------------------------------------------------------------------
 
 
-def format_dataset_csv(data: Dataset) -> str:
-    """CSV text of ``data``: each row is a cell code into a table of line strings.
+class _LineTable:
+    """Every line a dataset of ``levels`` can hold, as one fixed-width table of UTF-8 lines.
 
-    The code is mixed-radix over ``(R, level, A, Y[, ASTAR, S])`` in column
-    order, so the table holds one line per possible cell.
+    A row's line sits at its cell code, mixed-radix over ``(R, level, A,
+    Y[, ASTAR, S])`` in column order.  Lines are right-padded to a common
+    width with ``0xFF``, a byte UTF-8 never contains, so the text of many
+    rows is one gather from the table with the padding deleted.
     """
+
+    def __init__(self, levels: tuple[str, ...], oracle: bool):
+        for label in levels:
+            if "," in label:
+                raise ValueError(f"level label {label!r} contains ',', "
+                                 "which a dataset CSV field cannot hold")
+        self.fields = [_CODED[0], ("L", range(len(levels))), *_CODED[1:]][:6 if oracle else 4]
+        texts = [[str(v) for v in values] for _, values in self.fields]
+        texts[1] = levels
+        lines = [(",".join(cell) + "\n").encode("utf-8") for cell in itertools.product(*texts)]
+        width = max(map(len, lines))
+        self.table = np.array([line.ljust(width, b"\xff") for line in lines], dtype=f"S{width}")
+        self.padded = any(len(line) < width for line in lines)
+
+    def header(self, seed: int | None, n: int) -> str:
+        """The seed comment of a sampled dataset, then the column names."""
+        head = f"# pcg64 seed={seed} n={n}\n" if seed is not None else ""
+        return head + ",".join(name for name, _ in self.fields) + "\n"
+
+    def text(self, columns: tuple[np.ndarray, ...]) -> str:
+        """The lines of the rows whose file columns are ``columns``."""
+        code = np.zeros(len(columns[0]), dtype=np.intp)
+        for (name, values), column in zip(self.fields, columns):
+            if np.any((column < values[0]) | (column > values[-1])):
+                raise ValueError(f"column {name} contains values outside {tuple(values)}")
+            code *= len(values)
+            code += column
+            code -= values[0]
+        raw = self.table.take(code).tobytes()
+        return (raw.translate(None, b"\xff") if self.padded else raw).decode("utf-8")
+
+
+def format_dataset_csv(data: Dataset) -> str:
+    """CSV text of ``data``."""
     columns = (data.r, data.level_idx, data.a, data.y)
     if data.has_oracle:
         columns += (data.astar, data.s)
-    fields = [_CODED[0], ("L", range(len(data.levels))), *_CODED[1:]][:len(columns)]
-    code = np.zeros(data.n, dtype=np.intp)
-    for (name, values), column in zip(fields, columns):
-        if np.any((column < values[0]) | (column > values[-1])):
-            raise ValueError(f"column {name} contains values outside {tuple(values)}")
-        code *= len(values)
-        code += column
-        code -= values[0]
-    texts = [[str(v) for v in values] for _, values in fields]
-    texts[1] = data.levels
-    table = np.array([",".join(cell) + "\n" for cell in itertools.product(*texts)],
-                     dtype=object)
+    lines = _LineTable(data.levels, data.has_oracle)
+    return lines.header(data.seed, data.n) + lines.text(columns)
 
-    head = f"# pcg64 seed={data.seed} n={data.n}\n" if data.seed is not None else ""
-    head += ",".join(name for name, _ in fields) + "\n"
-    return head + "".join(table[code].tolist())
+
+def dataset_csv_chunks(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Iterator[str]:
+    """``format_dataset_csv(sample_dataset(law, n, seed, oracle))`` in pieces.
+
+    The header comes first, then the lines of each chunk of at most
+    ``CHUNK_ROWS`` rows, drawn as it is taken, so memory does not grow
+    with ``n``.  An ``n`` below 1 or a level label the CSV format cannot
+    hold raises here, before any piece is taken.
+    """
+    lines = _LineTable(law.levels, oracle)
+    chunks = _sample_chunks(law, n, seed)
+    width = len(lines.fields)
+    return itertools.chain([lines.header(seed, n)],
+                           (lines.text(chunk[:width]) for chunk in chunks))

@@ -25,6 +25,16 @@ def make_law_e1() -> FullLaw:
     )
 
 
+def simulate_digests() -> list:
+    """One ``pytest.param(law path, n, seed, oracle, sha256)`` per case of
+    ``simulate_golden/streaming.sha256``, whose n cross the sampler's chunk size."""
+    with open(os.path.join(DATA_DIR, "simulate_golden", "streaming.sha256"), encoding="utf-8") as fh:
+        cases = [line.split() for line in fh if not line.startswith("#")]
+    return [pytest.param(os.path.join(DATA_DIR, law), int(n), int(seed), mode == "oracle", digest,
+                         id=f"{law}-{n}-{mode}")
+            for law, n, seed, mode, digest in cases]
+
+
 def unconfounded(law: FullLaw) -> FullLaw:
     """``law`` with each level's A* = 1 stratum block copied onto A* = 0."""
     return dataclasses.replace(law, p_strata={(l, astar): law.p_strata[(l, 1)]

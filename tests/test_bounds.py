@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from harmbounds import (IncompatibleLawsError, Regime, STRATA, exp_bounds,
+from harmbounds import (IncompatibleLawsError, Regime, STRATA, att_atu, exp_bounds,
                         exp_potential_mean, fused_bounds, fused_lower_bound_s1,
+                        fused_potential_mean,
                         identified_means, improvement_test, observed_from_full, random_law,
                         regime_lower_bound, regime_value, stratum_margins)
 from harmbounds.bounds import family_bounds
@@ -136,7 +137,12 @@ def fused_cases(draw):
     lambda obs, tol: identified_means(obs, fuse=True, tol=tol),
     lambda obs, tol: fused_bounds(obs, "l0", tol),
     lambda obs, tol: sharp_bounds_lp(strata_system(obs, "l0", fuse=True), stratum_target(1), tol),
-], ids=["identified_means", "fused_bounds", "sharp_bounds_lp"])
+    lambda obs, tol: fused_potential_mean(obs, 1, 1, "l0", tol),
+    lambda obs, tol: fused_potential_mean(obs, 0, 1, "l0", tol),
+    lambda obs, tol: att_atu(obs, "l0", tol),
+    lambda obs, tol: improvement_test(obs, "l0", tol),
+], ids=["identified_means", "fused_bounds", "sharp_bounds_lp", "fused_potential_mean_direct",
+        "fused_potential_mean_solved", "att_atu", "improvement_test"])
 def test_bad_tol_is_refused(obs_e1, call, tol):
     # the rule the CLI applies to --tol, so a bad slack is never read as a fault of the law
     with pytest.raises(ValueError, match="^tol must be finite and non-negative$"):

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from harmbounds import cli, verify
 from harmbounds.cli import main
 from harmbounds.verify import PROPS
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, simulate_digests
 
 
 def run(*args):
@@ -532,6 +534,45 @@ class TestSimulatePipeline:
         assert code == 0
         got = out_path.read_bytes() if to_file else out.encode("utf-8")
         assert got == want
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("law_path, n, seed, oracle, digest", simulate_digests())
+    def test_simulate_matches_streaming_digests(self, tmp_path, law_path, n, seed, oracle,
+                                                digest, to_file):
+        args = ["simulate", "--law", law_path, "--n", str(n), "--seed", str(seed)]
+        args += ["--oracle"] if oracle else []
+        out_path = tmp_path / "d.csv"
+        args += ["--out", str(out_path)] if to_file else []
+        code, out, _ = run(*args)
+        assert code == 0
+        got = out_path.read_bytes() if to_file else out.encode("utf-8")
+        assert hashlib.sha256(got).hexdigest() == digest
+
+    def test_memory_does_not_grow_with_n(self):
+        # numpy reports its buffers to tracemalloc; writing every row at once peaked at 35 MB
+        args = ["simulate", "--law", os.path.join(DATA_DIR, "mixed_width.law"), "--seed", "3",
+                "--out", os.devnull]
+        assert main(args + ["--n", "1"]) == 0  # imports outside the traced call
+        tracemalloc.start()
+        try:
+            assert main(args + ["--n", "1000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_label_with_comma_refused_before_writing(self, e1_law_path, tmp_path):
+        law = tmp_path / "comma.law"
+        with open(e1_law_path, encoding="utf-8") as fh:
+            law.write_text(fh.read().replace(" l0 ", " a,b "), encoding="utf-8")
+        assert run("bounds", "--law", str(law))[0] == 0  # law mode keeps the label
+        out_path = tmp_path / "d.csv"
+        for to_file in ([], ["--out", str(out_path)]):
+            code, out, err = run("simulate", "--law", str(law), "--n", "10", *to_file)
+            assert (code, out) == (2, "")
+            assert err == ("error: level label 'a,b' contains ',', "
+                           "which a dataset CSV field cannot hold\n")
+        assert not out_path.exists()
 
     def test_oracle_columns(self, e1_law_path):
         code, out, _ = run("simulate", "--law", e1_law_path, "--n", "10",

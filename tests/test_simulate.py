@@ -13,9 +13,9 @@ from harmbounds import (CellCounts, Dataset, FileFormatError, FullLaw, ObservedL
                         PositivityError, att_atu, exp_potential_mean, estimate_observed_law,
                         format_dataset_csv, fused_potential_mean,
                         observed_from_full, parse_dataset_csv, potential_outcome,
-                        random_law, read_dataset_file, sample_dataset)
+                        random_law, read_dataset_file, read_law_file, sample_dataset)
 
-from conftest import DATA_DIR, unconfounded
+from conftest import DATA_DIR, simulate_digests, unconfounded
 
 
 class TestRandomLaw:
@@ -139,6 +139,12 @@ class TestSampling:
             assert data.level_idx.dtype == np.int64
             text = format_dataset_csv(data)
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("law_path, n, seed, oracle, digest", simulate_digests())
+    def test_library_path_matches_streaming_digests(self, law_path, n, seed, oracle, digest):
+        # the same bytes as the chunked CLI writer, recorded before rows were drawn in chunks
+        text = format_dataset_csv(sample_dataset(read_law_file(law_path), n, seed, oracle))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestEstimation:
@@ -351,6 +357,11 @@ class TestCsv:
             format_dataset_csv(dataclasses.replace(data, s=np.zeros_like(data.s)))
         with pytest.raises(ValueError, match="column L contains values outside"):
             format_dataset_csv(dataclasses.replace(data, level_idx=data.level_idx - 1))
+
+    def test_format_rejects_a_label_with_a_comma(self, law_e1):
+        data = dataclasses.replace(sample_dataset(law_e1, 10, seed=13), levels=("a,b",))
+        with pytest.raises(ValueError, match=r"^level label 'a,b' contains ','"):
+            format_dataset_csv(data)
 
     @pytest.mark.parametrize("text, message", MALFORMED)
     def test_malformed(self, text, message):
