@@ -2,9 +2,10 @@
 
 Subcommands: ``simulate``, ``identify``, ``bounds``, ``decide``,
 ``compare``, ``verify``.  Each takes only the options it reads (the table
-in ``build_parser``); any other option is a usage error.  Reports are
-plain-text tables with fixed 6-decimal formatting; ``--machine`` switches to
-one record per line of tab-separated ``key:value`` pairs.  Output is
+in ``build_parser``); any other option is a usage error.  Each report is one
+list of records, printed as plain-text tables with fixed 6-decimal formatting
+or, under ``--machine``, as one line of tab-separated ``key:value`` pairs per
+record, led by ``kind:<kind>`` (README.md lists each kind's fields).  Output is
 byte-identical for identical arguments, seeds and input files.
 
 Exit codes: 0 success, 1 usage error (or failed verification sweep),
@@ -21,8 +22,8 @@ import sys
 
 from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
 from .data import estimate_observed_law, read_dataset_file
-from .decide import (CRITERIA, DecisionReport, counterfactual_report,
-                     interventionist_report, policy_value, true_law_policies)
+from .decide import (CRITERIA, counterfactual_report, interventionist_report, policy_value,
+                     true_law_policies)
 from .errors import (FileFormatError, GainEqualityError, GammaMissingError,
                      IncompatibleLawsError, LawValidationError,
                      NotPointIdentifiedError, PartialPolicyError, PositivityError)
@@ -58,10 +59,18 @@ def _fmt(x: float) -> float | str:
     return f"{x:.6f}"
 
 
-def _machine_line(kind: str, **fields) -> str:
-    parts = [f"kind:{kind}"]
-    parts += [f"{k}:{v}" for k, v in fields.items()]
-    return "\t".join(parts)
+def _machine_line(kind: str, fields: dict) -> str:
+    return "\t".join([f"kind:{kind}"] + [f"{k}:{v}" for k, v in fields.items()])
+
+
+def _print(records: list, machine: bool) -> None:
+    """Print each ``(kind, fields, template)`` record that has a ``kind`` (``--machine``) or
+    a ``template`` (table).  A template holds no input text; labels come in through ``fields``."""
+    if machine:
+        lines = [_machine_line(kind, fields) for kind, fields, _ in records if kind]
+    else:
+        lines = [template.format(**fields) for _, fields, template in records if template]
+    print("\n".join(lines))
 
 
 # Each option's add_argument keywords, written once; build_parser picks each subcommand's.
@@ -149,112 +158,83 @@ def cmd_simulate(args) -> int:
 def cmd_identify(args) -> int:
     obs = _load_observed(args)
     means = identified_means(obs, fuse=args.fuse, tol=args.tol)
-    lines = []
+    records = []
     for l in obs.levels:
-        if args.machine:
-            for a in (1, 0):
-                lines.append(_machine_line("exp_mean", level=l, a=a, value=_fmt(means.exp_mean(l, a))))
-            lines.append(_machine_line("ate", level=l, value=_fmt(means.ate(l))))
-        else:
-            lines.append(f"level {l}")
-            lines.append(f"  E[Y^1 | l]          {_fmt(means.exp_mean(l, 1)):>12}")
-            lines.append(f"  E[Y^0 | l]          {_fmt(means.exp_mean(l, 0)):>12}")
-            lines.append(f"  ATE                 {_fmt(means.ate(l)):>12}")
+        records.append((None, {"level": l}, "level {level}"))
+        for a in (1, 0):
+            records.append(("exp_mean", {"level": l, "a": a, "value": _fmt(means.exp_mean(l, a))},
+                            "  E[Y^{a} | l]          {value:>12}"))
+        records.append(("ate", {"level": l, "value": _fmt(means.ate(l))},
+                        "  ATE                 {value:>12}"))
         if means.has_fused:
-            att = means.fused_mean(l, 1, 1) - means.fused_mean(l, 0, 1)
-            atu = means.fused_mean(l, 1, 0) - means.fused_mean(l, 0, 0)
-            if args.machine:
-                lines.append(_machine_line("p_astar", level=l, value=_fmt(means.p_astar[l])))
-                for a in (1, 0):
-                    for astar in (1, 0):
-                        lines.append(_machine_line("fused_mean", level=l, a=a, astar=astar,
-                                                   value=_fmt(means.fused_mean(l, a, astar))))
-                lines.append(_machine_line("att", level=l, value=_fmt(att)))
-                lines.append(_machine_line("atu", level=l, value=_fmt(atu)))
-            else:
-                lines.append(f"  P(A*=1 | l)         {_fmt(means.p_astar[l]):>12}")
-                for a in (1, 0):
-                    for astar in (1, 0):
-                        lines.append(f"  E[Y^{a} | A*={astar}, l]    "
-                                     f"{_fmt(means.fused_mean(l, a, astar)):>12}")
-                lines.append(f"  ATT                 {_fmt(att):>12}")
-                lines.append(f"  ATU                 {_fmt(atu):>12}")
-    print("\n".join(lines))
+            records.append(("p_astar", {"level": l, "value": _fmt(means.p_astar[l])},
+                            "  P(A*=1 | l)         {value:>12}"))
+            for a in (1, 0):
+                for astar in (1, 0):
+                    records.append(("fused_mean", {"level": l, "a": a, "astar": astar,
+                                                   "value": _fmt(means.fused_mean(l, a, astar))},
+                                    "  E[Y^{a} | A*={astar}, l]    {value:>12}"))
+            for kind, astar, template in (("att", 1, "  ATT                 {value:>12}"),
+                                          ("atu", 0, "  ATU                 {value:>12}")):
+                effect = means.fused_mean(l, 1, astar) - means.fused_mean(l, 0, astar)
+                records.append((kind, {"level": l, "value": _fmt(effect)}, template))
+    _print(records, args.machine)
     return 0
+
+
+def _level_bounds(obs, l, args):
+    return fused_bounds(obs, l, tol=args.tol) if args.fuse else exp_bounds(obs, l)
 
 
 def cmd_bounds(args) -> int:
     obs = _load_observed(args)
-    lines = []
+    records = []
     for l in obs.levels:
-        b = fused_bounds(obs, l, tol=args.tol) if args.fuse else exp_bounds(obs, l)
-        if args.machine:
-            for s in STRATA:
-                lo, hi = b.interval(s)
-                lines.append(_machine_line("stratum_bound", level=l, s=s, lo=_fmt(lo),
-                                           hi=_fmt(hi), source=b.source))
-            if args.fuse:
-                lines.append(_machine_line("lower_bound_s1", level=l,
-                                           value=_fmt(fused_lower_bound_s1(obs, l))))
-            lines.append(_machine_line("p_range", level=l, lo=_fmt(b.p_lo), hi=_fmt(b.p_hi)))
-        else:
-            for s in STRATA:
-                lo, hi = b.interval(s)
-                lines.append(f"P(S={s}|{l}) ∈ [{_fmt(lo)}, {_fmt(hi)}] ({b.source})")
-            if args.fuse:
-                lines.append(f"four-term lower bound P(S=1|{l}) >= "
-                             f"{_fmt(fused_lower_bound_s1(obs, l))}")
-            lines.append(f"free parameter p = P(S=1|{l}) ∈ [{_fmt(b.p_lo)}, {_fmt(b.p_hi)}]")
-    print("\n".join(lines))
+        b = _level_bounds(obs, l, args)
+        for s in STRATA:
+            lo, hi = b.interval(s)
+            records.append(("stratum_bound", {"level": l, "s": s, "lo": _fmt(lo), "hi": _fmt(hi),
+                                              "source": b.source},
+                            "P(S={s}|{level}) ∈ [{lo}, {hi}] ({source})"))
+        if args.fuse:
+            records.append(("lower_bound_s1",
+                            {"level": l, "value": _fmt(fused_lower_bound_s1(obs, l))},
+                            "four-term lower bound P(S=1|{level}) >= {value}"))
+        records.append(("p_range", {"level": l, "lo": _fmt(b.p_lo), "hi": _fmt(b.p_hi)},
+                        "free parameter p = P(S=1|{level}) ∈ [{lo}, {hi}]"))
+    _print(records, args.machine)
     return 0
 
 
-_VALUE_LABELS = {
-    "eu_a1": "E[U | a=1]",
-    "eu_a0": "E[U | a=0]",
-    "gain_lo": None,  # folded into the interval line
-    "gain_hi": None,
-    "gain": "gain",
-    "gain_mean": "gain mean",
+# The table line of each ``decision`` field that has one; gain_lo's line holds the gain interval.
+_DECISION_LINES = {
+    "action": "  action              {action:>12}",
+    "eu_a1": "  E[U | a=1]          {eu_a1:>12}",
+    "eu_a0": "  E[U | a=0]          {eu_a0:>12}",
+    "gain_lo": "  gain interval       [{gain_lo}, {gain_hi}]",
+    "gain": "  gain                {gain:>12}",
+    "gain_mean": "  gain mean           {gain_mean:>12}",
+    "regret_a1": "  regret a=1          {regret_a1:>12}",
+    "regret_a0": "  regret a=0          {regret_a0:>12}",
 }
 
 
-def _render_report(report: DecisionReport, machine: bool) -> list[str]:
-    lines = []
-    if not machine:
-        lines.append(f"criterion {report.criterion}")
-    for cell in report.cells:
-        if machine:
-            fields: dict = {"level": cell.features[0]}
-            if len(cell.features) > 1:
-                fields["astar"] = cell.features[1]
-            fields["action"] = cell.action
-            for key, value in cell.values.items():
-                fields[key] = _fmt(value)
-            if cell.regret is not None:
-                fields["regret_a1"] = _fmt(cell.regret[1])
-                fields["regret_a0"] = _fmt(cell.regret[0])
-            fields["tie"] = int(cell.tie)
-            lines.append(_machine_line("decision", **fields))
-            continue
-        feat = f"l={cell.features[0]}"
-        if len(cell.features) > 1:
-            feat += f" a*={cell.features[1]}"
-        lines.append(f"feature {feat}")
-        lines.append(f"  action              {cell.action:>12}")
-        if "gain_lo" in cell.values:
-            interval = f"[{_fmt(cell.values['gain_lo'])}, {_fmt(cell.values['gain_hi'])}]"
-            lines.append(f"  gain interval       {interval:>12}")
-        for key, value in cell.values.items():
-            label = _VALUE_LABELS.get(key, key)
-            if label is None:
-                continue
-            lines.append(f"  {label:<20}{_fmt(value):>12}")
-        if cell.regret is not None:
-            lines.append(f"  regret a=1          {_fmt(cell.regret[1]):>12}")
-            lines.append(f"  regret a=0          {_fmt(cell.regret[0]):>12}")
-        lines.append(f"  tie                 {'yes' if cell.tie else 'no':>12}")
-    return lines
+def _decision_record(cell) -> tuple:
+    """A ``decision`` record; the table prints its fields in the same order."""
+    fields = {"level": cell.features[0]}
+    if len(cell.features) > 1:
+        fields["astar"] = cell.features[1]
+    fields["action"] = cell.action
+    for key, value in cell.values.items():
+        fields[key] = _fmt(value)
+    if cell.regret is not None:
+        fields["regret_a1"] = _fmt(cell.regret[1])
+        fields["regret_a0"] = _fmt(cell.regret[0])
+    fields["tie"] = int(cell.tie)
+    lines = ["feature l={level} a*={astar}" if "astar" in fields else "feature l={level}"]
+    lines += [_DECISION_LINES[key] for key in fields if key in _DECISION_LINES]
+    lines.append(f"  tie                 {'yes' if cell.tie else 'no':>12}")
+    return "decision", fields, "\n".join(lines)
 
 
 def cmd_decide(args) -> int:
@@ -267,12 +247,10 @@ def cmd_decide(args) -> int:
     else:
         if args.use_astar:
             raise UsageError("--use-astar applies only to --criterion interventionist")
-        if args.fuse:
-            bmap = {l: fused_bounds(obs, l, tol=args.tol) for l in obs.levels}
-        else:
-            bmap = {l: exp_bounds(obs, l) for l in obs.levels}
+        bmap = {l: _level_bounds(obs, l, args) for l in obs.levels}
         report = counterfactual_report(bmap, spec, args.criterion)
-    print("\n".join(_render_report(report, args.machine)))
+    _print([(None, {"criterion": report.criterion}, "criterion {criterion}"),
+            *map(_decision_record, report.cells)], args.machine)
     return 0
 
 
@@ -289,13 +267,11 @@ def cmd_compare(args) -> int:
     cf_policy, int_policy = true_law_policies(law, spec, int_spec, criterion)
     cf_value = policy_value(law, cf_policy)
     int_value = policy_value(law, int_policy)
-    if args.machine:
-        print(_machine_line("compare", cf_value=_fmt(cf_value), int_value=_fmt(int_value),
-                            excess=_fmt(cf_value - int_value)))
-    else:
-        print(f"outcome-level policy value   {_fmt(int_value):>12}")
-        print(f"stratum-level policy value   {_fmt(cf_value):>12}")
-        print(f"excess outcome               {_fmt(cf_value - int_value):>12}")
+    fields = {"cf_value": _fmt(cf_value), "int_value": _fmt(int_value),
+              "excess": _fmt(cf_value - int_value)}
+    _print([("compare", fields, "outcome-level policy value   {int_value:>12}\n"
+                                "stratum-level policy value   {cf_value:>12}\n"
+                                "excess outcome               {excess:>12}")], args.machine)
     return 0
 
 
@@ -310,19 +286,16 @@ def cmd_verify(args) -> int:
                          f"(available: {', '.join(PROPS)})")
     results = run_sweeps(props, args.trials, args.seed)
     lines = []
-    all_ok = True
     for r in results:
-        all_ok = all_ok and r.ok
-        if args.machine:
-            lines.append(_machine_line("verify", prop=r.name, passes=r.passes, trials=r.trials))
-        else:
-            lines.append(f"{r.name}: {r.passes}/{r.trials} pass")
+        status = {"prop": r.name, "passes": r.passes, "trials": r.trials}
+        lines.append(_machine_line("verify", status) if args.machine
+                     else f"{r.name}: {r.passes}/{r.trials} pass")
         for note in r.notes:
             lines.append(f"  note: {note}")
         for failure in r.failures:
             lines.append(f"  FAIL: {failure}")
     print("\n".join(lines))
-    return 0 if all_ok else 1
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _check_numeric_options(args) -> None:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,8 @@ import pytest
 
 from harmbounds import cli, verify
 from harmbounds.cli import main
+from harmbounds.decide import CRITERIA
+from harmbounds.simulate import random_law
 from harmbounds.verify import PROPS
 
 from conftest import DATA_DIR, simulate_digests
@@ -241,7 +244,7 @@ LAW_GOLDEN = [
 ]
 
 
-def golden_case(stem, argv, form, law_path, util_path):
+def golden_case(stem, argv, form, law_path, util_path, folder="law_golden"):
     """Full argument list and golden stdout bytes of one ``LAW_GOLDEN`` entry."""
     args = [*argv, "--law", law_path]
     if argv[0] in ("decide", "compare"):
@@ -249,7 +252,7 @@ def golden_case(stem, argv, form, law_path, util_path):
     if form == "machine":
         args.append("--machine")
         stem += "_machine"
-    with open(os.path.join(DATA_DIR, "law_golden", f"{stem}.txt"), "rb") as fh:
+    with open(os.path.join(DATA_DIR, folder, f"{stem}.txt"), "rb") as fh:
         return args, fh.read()
 
 
@@ -298,6 +301,69 @@ def test_reused_parser_keeps_no_state_between_calls(e1_law_path, pen3_util_path)
         f = between[i % 3]
         assert f() == first[f]
     assert cli.build_parser.cache_info().misses == 1
+
+
+# Four of them on format_label.law, e1.law with its level label x{0}y%s:ñ.
+LABEL_GOLDEN = [c for c in LAW_GOLDEN if c[0] in (
+    "identify_fuse", "bounds_fuse", "decide_cf_minimax_regret_fuse",
+    "decide_interventionist_use_astar")]
+
+
+@pytest.mark.parametrize("form", ["table", "machine"])
+@pytest.mark.parametrize("stem, argv, exit_code", LABEL_GOLDEN, ids=[c[0] for c in LABEL_GOLDEN])
+def test_level_label_prints_as_itself(pen3_util_path, stem, argv, exit_code, form):
+    args, want = golden_case(stem, argv, form, os.path.join(DATA_DIR, "format_label.law"),
+                             pen3_util_path, folder="label_golden")
+    assert run(*args) == (exit_code, want.decode("utf-8"), "")
+
+
+NUMBER = re.compile(r"-?\d+\.\d{6}")
+
+
+def law_text(law) -> str:
+    """The law file of ``law``; ``repr`` writes each probability exactly."""
+    lines = []
+    for l in law.levels:
+        lines += [f"L {l} {law.p_level[l]!r}", f"TRIAL {l} {law.p_r1[l]!r} {law.p_treat[l]!r}",
+                  f"ASTAR {l} {law.p_astar[l]!r}"]
+        lines += [f"S {l} {astar} {' '.join(map(repr, law.p_strata[(l, astar)]))}"
+                  for astar in (1, 0)]
+    return "\n".join(lines) + "\n"
+
+
+def machine_numbers(text: str) -> list:
+    """The 6-decimal fields of ``--machine`` records, in the order the table prints them."""
+    numbers = []
+    for line in text.splitlines():
+        record = dict(field.split(":", 1) for field in line.split("\t"))
+        # the table prints compare's outcome-level value first
+        keys = ("int_value", "cf_value", "excess") if record["kind"] == "compare" else record
+        numbers += [record[k] for k in keys if NUMBER.fullmatch(record[k])]
+    return numbers
+
+
+def test_table_and_machine_forms_report_the_same_numbers(tmp_path, pen3_util_path):
+    # without the treatment charge, gain equality holds and cf-point decides every law
+    survival = tmp_path / "survival.util"
+    with open(pen3_util_path, encoding="utf-8") as fh:
+        survival.write_text(fh.read().replace("GAMMA 1 1 -3.0", "GAMMA 1 1 0.0"))
+    commands = [["identify", "--fuse"], ["bounds", "--fuse"],
+                ["compare", "--utility", pen3_util_path]]
+    commands += [["decide", "--utility", util, "--criterion", c, "--fuse"]
+                 for util in (pen3_util_path, str(survival))
+                 for c in CRITERIA if c != "interventionist"]
+    compared = 0
+    for seed in range(20):
+        path = tmp_path / f"law{seed}.law"
+        path.write_text(law_text(random_law(seed, n_levels=1 + seed % 3)), encoding="utf-8")
+        for argv in commands:
+            code, table, err = run(*argv, "--law", str(path))
+            machine = run(*argv, "--law", str(path), "--machine")
+            assert (machine[0], machine[2]) == (code, err), argv
+            numbers = NUMBER.findall(table)
+            assert numbers == machine_numbers(machine[1]), argv
+            compared += len(numbers)
+    assert compared > 1500
 
 
 # Data-mode commands on the simulate_golden CSVs (with surv_pen3.util where a
