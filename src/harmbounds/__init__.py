@@ -13,10 +13,11 @@ The package splits into small pure layers:
   tables, gain equality, and the margin-only fast path;
 * :mod:`harmbounds.decide` - policies under the supported criteria, policy
   evaluation at a known law, and the outcome cost of stratum-level choice;
-* :mod:`harmbounds.data` - dataset CSV files read as per-cell row counts,
-  and plug-in estimation of the observed law from them;
-* :mod:`harmbounds.simulate` - random laws, dataset sampling, and the
-  dataset CSV writer;
+* :mod:`harmbounds.data` - dataset CSV files read as per-cell row counts
+  (:class:`CellCounts`), and plug-in estimation of the observed law from them;
+* :mod:`harmbounds.simulate` - random laws, dataset sampling to
+  :class:`CellCounts`, and the dataset CSV writer
+  ``format_dataset_csv(law, n, seed, oracle)``;
 * :mod:`harmbounds.verify` - brute-force property sweeps, the treatment
   regimes and bound-improvement test they check, and the exact integer LP
   oracle that certifies the bounds;
@@ -47,8 +48,7 @@ __version__ = "0.1.0"
 # Names from modules that load numpy, mapped to their module: they are
 # imported on first use (PEP 562), so the law-mode and data-mode layers and
 # CLI commands start without numpy.
-_LAZY = {**dict.fromkeys(("Dataset", "format_dataset_csv", "random_law", "sample_dataset"),
-                         "simulate"),
+_LAZY = {**dict.fromkeys(("format_dataset_csv", "random_law", "sample_dataset"), "simulate"),
          **dict.fromkeys(("Regime", "improvement_test", "regime_lower_bound",
                           "regime_value"), "verify")}
 

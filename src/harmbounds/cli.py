@@ -134,6 +134,8 @@ def _load_observed(args):
     if args.law and args.data:
         raise UsageError("give either --law or --data, not both")
     if args.law:
+        if args.smoothing:  # a law is exact; only estimation from --data smooths
+            raise UsageError("--smoothing applies only to --data")
         return observed_from_full(read_law_file(args.law))
     if args.data:
         return estimate_observed_law(read_dataset_file(args.data), smoothing=args.smoothing)

@@ -3,8 +3,9 @@
 A plug-in estimate of the observed law needs only how many rows fall in
 each coded cell, and a dataset has few distinct lines (at most 8 per
 level, 64 in oracle mode).  So the reader counts distinct lines and keeps
-no rows: its memory does not grow with the row count.  Nothing here loads
-numpy, so the ``--data`` commands start without it.
+no rows: its memory does not grow with the row count.  A sampled dataset
+(``simulate.sample_dataset``) is a :class:`CellCounts` too.  Nothing here
+loads numpy, so the ``--data`` commands start without it.
 
 File format: header ``R,L,A,Y`` (``,ASTAR,S`` appended in oracle mode); a
 sampled dataset's file starts with the comment ``# pcg64 seed=S n=N``.
@@ -19,13 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import FileFormatError, PositivityError
 from .laws import ObservedLaw, _reduce
-
-if TYPE_CHECKING:
-    from .simulate import Dataset
 
 #: Integer-coded columns in file order and the values each allows.
 _CODED = (("R", (0, 1)), ("A", (0, 1)), ("Y", (0, 1)), ("ASTAR", (0, 1)), ("S", (1, 2, 3, 4)))
@@ -33,7 +31,7 @@ _CODED = (("R", (0, 1)), ("A", (0, 1)), ("Y", (0, 1)), ("ASTAR", (0, 1)), ("S", 
 
 @dataclass(frozen=True)
 class CellCounts:
-    """How many rows of a dataset fall in each coded cell.
+    """How many rows of a dataset fall in each coded cell, read from a file or sampled.
 
     ``counts`` maps a cell ``(r, level index, a, y)``, with ``(astar, s)``
     appended in oracle mode, to its number of rows; cells without rows are
@@ -54,18 +52,15 @@ class CellCounts:
         return sum(self.counts.values())
 
 
-def estimate_observed_law(data: CellCounts | Dataset, smoothing: float = 0.0) -> ObservedLaw:
+def estimate_observed_law(data: CellCounts, smoothing: float = 0.0) -> ObservedLaw:
     """Plug-in observed law from cell frequencies.
 
-    A sampled ``Dataset`` is counted first, with its ``cell_counts()``.
     ``smoothing`` adds that count to every ``(y, a)`` cell within each
     ``(level, r)`` block before normalizing.  With zero smoothing, an empty
     block or an empty trial arm is an error naming the cell.
     """
     if not (math.isfinite(smoothing) and smoothing >= 0.0):
         raise ValueError("smoothing must be finite and non-negative")
-    if not isinstance(data, CellCounts):
-        data = data.cell_counts()
     levels = data.levels
     counts = [[[[0, 0], [0, 0]] for _r in (0, 1)] for _l in levels]  # [level][r][y][a]
     for (r, i, a, y, *_oracle), count in data.counts.items():

@@ -252,7 +252,7 @@ class ObservedLaw:
         """``P(Y=1 | A=a, L=l, R=r)``; raises on an empty arm rather than dividing by zero."""
         denom = self.p_a(a, l, r)
         if denom <= 0.0:
-            raise PositivityError(f"empty arm: level {l!r}, R={r}, A={a}")
+            raise PositivityError(f"empty arm (level {l!r}, R={r}, A={a})")
         return self.p_joint(1, a, l, r) / denom
 
     def _block(self, l: str, r: int) -> Mapping[tuple[int, int], float]:

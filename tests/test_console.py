@@ -38,9 +38,10 @@ def golden(*parts) -> bytes:
      ("law_golden", "decide_cf_bayes_fuse_machine.txt")),
     # the sweeps, with the regimes they check, on this interpreter's numpy
     (["verify", "--trials", "200", "--seed", "0"], ("verify_trials200_seed0.txt",)),
+    (["verify", "--trials", "1000", "--seed", "1"], ("verify_trials1000_seed1.txt",)),
     (["bounds", "--data", E1_CSV, "--fuse", "--tol", "0.02"],
      ("data_golden", "e1_n400_seed7_bounds_fuse_smoothing0.txt")),
-], ids=["bounds", "decide-machine", "verify", "data-bounds"])
+], ids=["bounds", "decide-machine", "verify", "verify-1000", "data-bounds"])
 def test_output_matches_golden_file(args, want):
     proc = harmbounds(*args)
     assert (proc.returncode, proc.stdout) == (0, golden(*want))

@@ -97,6 +97,18 @@ class TestCounterfactualPolicy:
         assert cell.values["gain_mean"] == pytest.approx(0.1, abs=1e-9)
         assert cell.action == 1
 
+    @pytest.mark.parametrize("width", [1e-6, 0.02, 0.04, 0.05])
+    def test_bayes_averages_a_narrow_range_too(self, obs_e1, width):
+        # gain is -4p + 0.7, so 0.02 at p = 0.17 and negative at the upper
+        # end of every range here but the narrowest
+        spec = spec_from_delta(-4.0, 1.0, 0.0, 1.0)
+        b = dataclasses.replace(exp_bounds(obs_e1, "l0"),
+                                p_lo=0.17 - width / 2, p_hi=0.17 + width / 2)
+        [cell] = counterfactual_report(b, spec, "cf-bayes").cells
+        assert cell.values["gain_mean"] == pytest.approx(0.02, abs=1e-12)
+        assert cell.values["gain_lo"] == pytest.approx(0.02 - 2 * width, abs=1e-12)
+        assert cell.action == 1 and not cell.tie
+
     def test_unknown_criterion(self, obs_e1):
         with pytest.raises(ValueError, match="unknown counterfactual criterion"):
             counterfactual_policy(exp_bounds(obs_e1, "l0"),

@@ -83,6 +83,36 @@ class TestFusedMeans:
         obs = dataclasses.replace(obs_e1, p_ya={**obs_e1.p_ya, ("l0", 0): block})
         assert fused_potential_mean(obs, 1, 0, "l0") == 0.0
 
+    @pytest.mark.parametrize("excess", [0.5, 0.9, 1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_refusal_starts_at_tol(self, obs_e1, side, excess):
+        # E[Y^1 | A*=0] is 0 in e1 and 1 in the second law; observational mass
+        # moved into or out of (Y=1, A=1) puts the solved-for ratio about
+        # excess * tol outside [0, 1], which is clamped within tol and refused beyond it
+        tol = 0.01
+        if side == "below":
+            obs, source, target = obs_e1, (0, 0), (1, 1)
+            shift = excess * tol * obs.p_a(0, "l0", 0) / (1 + excess * tol)
+        else:
+            obs = observed_from_full(parse_law_text(
+                "L l0 1\nTRIAL l0 0.5 0.5\nASTAR l0 0.3\n"
+                "S l0 1 0.25 0.25 0.25 0.25\nS l0 0 0.5 0 0.5 0\n"))
+            source, target = (1, 1), (0, 1)
+            shift = excess * tol * obs.p_a(0, "l0", 0)
+        block = dict(obs.p_ya[("l0", 0)])
+        block[source] -= shift
+        block[target] += shift
+        obs = dataclasses.replace(obs, p_ya={**obs.p_ya, ("l0", 0): block})
+        raw = (exp_potential_mean(obs, 1, "l0") - obs.p_joint(1, 1, "l0", 0)) / obs.p_a(0, "l0", 0)
+        assert (raw < 0.0) == (side == "below")
+        clamped = min(1.0, max(0.0, raw))
+        assert abs(raw - clamped) == pytest.approx(excess * tol, rel=1e-9)
+        if excess < 1:
+            assert fused_potential_mean(obs, 1, 0, "l0", tol) == clamped
+        else:
+            with pytest.raises(IncompatibleLawsError, match="outside \\[0, 1\\]"):
+                fused_potential_mean(obs, 1, 0, "l0", tol)
+
     def test_thousand_law_round_trip_and_mixture_sweep(self):
         for seed in range(1000):
             law = random_law(seed, n_levels=1 + seed % 2)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmbounds import (CellCounts, Dataset, FileFormatError, FullLaw, ObservedLaw,
+from harmbounds import (CellCounts, FileFormatError, FullLaw, ObservedLaw,
                         PositivityError, att_atu, exp_potential_mean, estimate_observed_law,
                         format_dataset_csv, fused_potential_mean,
-                        observed_from_full, parse_dataset_csv, potential_outcome,
+                        observed_from_full, parse_dataset_csv, parse_law_text, potential_outcome,
                         random_law, read_dataset_file, read_law_file, sample_dataset)
+from harmbounds.simulate import _LineTable, _sample_chunks
 
 from conftest import DATA_DIR, simulate_digests, unconfounded
 
@@ -72,41 +73,48 @@ def stratum_laws(draw):
                    p_treat={l: draw(dyadic) for l in levels})
 
 
+def rows_where(counts: CellCounts, **fixed) -> int:
+    """Rows of ``counts`` in the cells whose named fields take the given values."""
+    names = ("r", "level", "a", "y", "astar", "s")
+    return sum(c for cell, c in counts.counts.items()
+               if all(cell[names.index(k)] == v for k, v in fixed.items()))
+
+
 class TestSampling:
     def test_single_row(self, law_e1):
         data = sample_dataset(law_e1, 1, seed=3)
-        assert data.n == 1
-        assert data.r[0] in (0, 1)
-        assert data.a[0] in (0, 1)
-        assert data.y[0] in (0, 1)
+        assert data.n == 1 and data.levels == ("l0",)
+        [(cell, count)] = data.counts.items()
+        assert count == 1 and len(cell) == 4
+        assert cell[0] in (0, 1) and cell[1] == 0 and cell[2] in (0, 1) and cell[3] in (0, 1)
         assert not data.has_oracle
 
     def test_deterministic_in_seed(self, law_e1):
         d1 = sample_dataset(law_e1, 500, seed=9, oracle=True)
         d2 = sample_dataset(law_e1, 500, seed=9, oracle=True)
-        assert np.array_equal(d1.y, d2.y) and np.array_equal(d1.s, d2.s)
+        assert d1 == d2 and d1.n == 500
+        assert sample_dataset(law_e1, 500, seed=10, oracle=True) != d1
 
     def test_oracle_rows_respect_structure(self, law_e1):
         data = sample_dataset(law_e1, 5000, seed=11, oracle=True)
-        obs_rows = data.r == 0
-        assert np.array_equal(data.a[obs_rows], data.astar[obs_rows])
-        # every outcome is the one the stratum dictates for the received treatment
-        expected = [potential_outcome(int(s), int(a)) for s, a in zip(data.s, data.a)]
-        assert np.array_equal(data.y, expected)
+        assert data.n == 5000
+        for r, _, a, y, astar, s in data.counts:
+            if r == 0:
+                assert a == astar
+            # every outcome is the one the stratum dictates for the received treatment
+            assert y == potential_outcome(s, a)
 
     def test_trial_arm_frequencies(self, law_e1):
         # binomial SE for the treated-arm mean at this n is about 0.00065
         data = sample_dataset(law_e1, 10**6, seed=1)
-        treated = (data.r == 1) & (data.a == 1)
-        freq = data.y[treated].mean()
+        freq = rows_where(data, r=1, a=1, y=1) / rows_where(data, r=1, a=1)
         assert freq == pytest.approx(0.3, abs=0.002)
 
     def test_oracle_stratum_frequencies(self, law_e1):
         data = sample_dataset(law_e1, 200_000, seed=2, oracle=True)
-        group = data.astar == 1
-        n_group = group.sum()
+        n_group = rows_where(data, astar=1)
         for s, expected in zip((1, 2, 3, 4), law_e1.p_strata[("l0", 1)]):
-            freq = (data.s[group] == s).mean()
+            freq = rows_where(data, astar=1, s=s) / n_group
             se = np.sqrt(expected * (1 - expected) / n_group)
             assert abs(freq - expected) <= 3 * se + 1e-9, f"stratum {s}"
 
@@ -116,10 +124,9 @@ class TestSampling:
         data = sample_dataset(law, 50_000, seed, oracle=True)
         for i, l in enumerate(law.levels):
             for astar in (0, 1):
-                group = (data.level_idx == i) & (data.astar == astar)
-                n_group = int(group.sum())
-                counts = np.bincount(data.s[group], minlength=5)[1:]
-                for s, (count, p) in enumerate(zip(counts, law.p_strata[(l, astar)]), 1):
+                n_group = rows_where(data, level=i, astar=astar)
+                for s, p in enumerate(law.p_strata[(l, astar)], 1):
+                    count = rows_where(data, level=i, astar=astar, s=s)
                     where = f"stratum {s} of level {l}, A*={astar}"
                     if p == 0.0:
                         assert count == 0, where
@@ -134,16 +141,17 @@ class TestSampling:
             digests = [line.split() for line in fh if not line.startswith("#")]
         assert len(digests) == 2
         for seed, digest in digests:
-            data = sample_dataset(random_law(int(seed), 3), 10**5, int(seed), oracle=True)
-            assert [c.dtype for c in (data.r, data.a, data.y, data.astar, data.s)] == [np.int8] * 5
-            assert data.level_idx.dtype == np.int64
-            text = format_dataset_csv(data)
+            law = random_law(int(seed), 3)
+            r, li, a, y, astar, s = next(_sample_chunks(law, 10**5, int(seed)))
+            assert [c.dtype for c in (r, a, y, astar, s)] == [np.int8] * 5
+            assert li.dtype == np.int64
+            text = format_dataset_csv(law, 10**5, int(seed), oracle=True)
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("law_path, n, seed, oracle, digest", simulate_digests())
     def test_library_path_matches_streaming_digests(self, law_path, n, seed, oracle, digest):
         # the same bytes as the chunked CLI writer, recorded before rows were drawn in chunks
-        text = format_dataset_csv(sample_dataset(read_law_file(law_path), n, seed, oracle))
+        text = format_dataset_csv(read_law_file(law_path), n, seed, oracle)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -156,19 +164,25 @@ class TestEstimation:
                 assert est.p_ya[("l0", r)][key] == pytest.approx(value, abs=0.005)
 
     def test_empty_block_error(self, law_e1):
+        # every sampled row moved outside the trial
         data = sample_dataset(law_e1, 50, seed=6)
-        no_trial = Dataset(levels=data.levels, r=np.zeros_like(data.r),
-                           level_idx=data.level_idx, a=data.a, y=data.y,
-                           astar=None, s=None, seed=None)
+        no_trial = Counter()
+        for (_, *rest), count in data.counts.items():
+            no_trial[(0, *rest)] += count
+        no_trial = CellCounts(levels=data.levels, counts=no_trial, has_oracle=False)
+        assert no_trial.n == 50
         with pytest.raises(PositivityError, match=r"empty block \(level 'l0', R=1\)"):
             estimate_observed_law(no_trial)
 
     def test_empty_trial_arm_error(self, law_e1):
+        # every sampled trial row moved into the treated arm
         data = sample_dataset(law_e1, 200, seed=6)
-        all_treated = Dataset(levels=data.levels, r=data.r, level_idx=data.level_idx,
-                              a=np.ones_like(data.a), y=data.y,
-                              astar=None, s=None, seed=None)
-        with pytest.raises(PositivityError, match="A=0"):
+        all_treated = Counter()
+        for (r, i, a, y), count in data.counts.items():
+            all_treated[(r, i, 1 if r == 1 else a, y)] += count
+        all_treated = CellCounts(levels=data.levels, counts=all_treated, has_oracle=False)
+        assert all_treated.n == 200
+        with pytest.raises(PositivityError, match=r"^empty arm \(level 'l0', R=1, A=0\)$"):
             estimate_observed_law(all_treated)
 
     def test_smoothing_fills_cells(self, law_e1):
@@ -180,10 +194,12 @@ class TestEstimation:
     @pytest.mark.parametrize("smoothing", [0.0, 0.1, 0.3, 0.7, 1e-9])
     def test_same_floats_from_rows_counts_and_numpy(self, smoothing):
         # exact equality: 6-decimal output would hide a change in the last bits
-        data = sample_dataset(random_law(3, n_levels=3), 20_000, seed=5, oracle=True)
+        law = random_law(3, n_levels=3)
+        data = sample_dataset(law, 20_000, seed=5, oracle=True)
         est = estimate_observed_law(data, smoothing)
         assert est == reference_estimate(data, smoothing)
-        assert estimate_observed_law(parse_dataset_csv(format_dataset_csv(data)), smoothing) == est
+        text = format_dataset_csv(law, 20_000, seed=5, oracle=True)
+        assert estimate_observed_law(parse_dataset_csv(text), smoothing) == est
 
     def test_negative_smoothing_rejected(self, law_e1):
         data = sample_dataset(law_e1, 10, seed=8)
@@ -221,11 +237,11 @@ def reference_parse(text: str) -> CellCounts:
     return CellCounts(levels=levels, counts=cells, has_oracle=oracle)
 
 
-def reference_estimate(data: Dataset, smoothing: float) -> ObservedLaw:
+def reference_estimate(data: CellCounts, smoothing: float) -> ObservedLaw:
     """Plug-in law from a numpy count array, summed in numpy's order."""
-    k = len(data.levels)
-    code = ((data.level_idx * 2 + data.r) * 2 + data.y) * 2 + data.a
-    counts = np.bincount(code, minlength=k * 8).reshape(k, 2, 2, 2).astype(float)
+    counts = np.zeros((len(data.levels), 2, 2, 2))  # [level, r, y, a]
+    for (r, i, a, y, *_oracle), count in data.counts.items():
+        counts[i, r, y, a] += count
     p_ya = {}
     for i, l in enumerate(data.levels):
         for r in (0, 1):
@@ -238,13 +254,12 @@ def reference_estimate(data: Dataset, smoothing: float) -> ObservedLaw:
                              for i, l in enumerate(data.levels)}, p_ya=p_ya)
 
 
-def reference_format(data: Dataset) -> str:
-    """Per-row writer."""
-    text = "" if data.seed is None else f"# pcg64 seed={data.seed} n={data.n}\n"
-    text += "R,L,A,Y,ASTAR,S\n" if data.has_oracle else "R,L,A,Y\n"
-    for i in range(data.n):
-        text += f"{data.r[i]},{data.levels[data.level_idx[i]]},{data.a[i]},{data.y[i]}"
-        text += f",{data.astar[i]},{data.s[i]}\n" if data.has_oracle else "\n"
+def reference_format(levels: tuple[str, ...], rows: list, oracle: bool, seed: int) -> str:
+    """Per-row writer of rows ``(r, level index, a, y, astar, s)``."""
+    text = f"# pcg64 seed={seed} n={len(rows)}\n"
+    text += "R,L,A,Y,ASTAR,S\n" if oracle else "R,L,A,Y\n"
+    for r, i, a, y, astar, s in rows:
+        text += f"{r},{levels[i]},{a},{y}" + (f",{astar},{s}\n" if oracle else "\n")
     return text
 
 
@@ -254,7 +269,7 @@ LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "
 
 @st.composite
 def csv_cases(draw):
-    """A dataset of 1-4 levels and a CSV text of its rows.
+    """Rows of a dataset of 1-4 levels, and a CSV text of them.
 
     The text pads fields with spaces and tabs, ends lines at any line
     break ``str.splitlines`` honours (mostly '\\n' and '\\r\\n') and puts
@@ -286,12 +301,7 @@ def csv_cases(draw):
     breaks = st.sampled_from(["\n"] * 5 + ["\r\n"] * 5 + LINE_BREAKS)
     text = "".join(ln + draw(breaks) for ln in lines)
 
-    columns = [np.array(c, dtype=np.int8) for c in zip(*rows)]
-    data = Dataset(levels=levels, r=columns[0], level_idx=columns[1].astype(np.int64),
-                   a=columns[2], y=columns[3], astar=columns[4] if oracle else None,
-                   s=columns[5] if oracle else None,
-                   seed=draw(st.one_of(st.none(), st.integers(0, 2**32))))
-    return text, data
+    return text, levels, rows, oracle
 
 
 # Malformed dataset texts and the start of the reader's error message.
@@ -329,39 +339,34 @@ MALFORMED = [
 class TestCsv:
     def test_round_trip(self, law_e1):
         data = sample_dataset(law_e1, 100, seed=13, oracle=True)
-        text = format_dataset_csv(data)
+        text = format_dataset_csv(law_e1, 100, seed=13, oracle=True)
         assert text.startswith("# pcg64 seed=13 n=100\nR,L,A,Y,ASTAR,S\n")
         back = parse_dataset_csv(text)
-        assert back == data.cell_counts()
+        assert back == data
         assert back.levels == data.levels and back.has_oracle and back.n == 100
         assert len(next(iter(back.counts))) == 6
 
     def test_round_trip_without_oracle(self, law_e1):
         data = sample_dataset(law_e1, 100, seed=13)
-        back = parse_dataset_csv(format_dataset_csv(data))
-        assert back == data.cell_counts()
+        back = parse_dataset_csv(format_dataset_csv(law_e1, 100, seed=13))
+        assert back == data
         assert back.levels == data.levels and not back.has_oracle
         assert len(next(iter(back.counts))) == 4
 
     def test_counts_are_read_only_and_pickle(self, law_e1):
-        counts = sample_dataset(law_e1, 50, seed=2, oracle=True).cell_counts()
+        counts = sample_dataset(law_e1, 50, seed=2, oracle=True)
         with pytest.raises(TypeError):
             counts.counts[(0, 0, 0, 0, 0, 1)] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             counts.levels = ("x",)
         assert pickle.loads(pickle.dumps(counts)) == counts
 
-    def test_format_rejects_uncoded_values(self, law_e1):
-        data = sample_dataset(law_e1, 10, seed=13, oracle=True)
-        with pytest.raises(ValueError, match="column S contains values outside"):
-            format_dataset_csv(dataclasses.replace(data, s=np.zeros_like(data.s)))
-        with pytest.raises(ValueError, match="column L contains values outside"):
-            format_dataset_csv(dataclasses.replace(data, level_idx=data.level_idx - 1))
-
-    def test_format_rejects_a_label_with_a_comma(self, law_e1):
-        data = dataclasses.replace(sample_dataset(law_e1, 10, seed=13), levels=("a,b",))
+    def test_format_rejects_a_label_with_a_comma(self, e1_law_path):
+        with open(e1_law_path, encoding="utf-8") as fh:
+            law = parse_law_text(fh.read().replace(" l0 ", " a,b "))
+        assert sample_dataset(law, 10, seed=13).levels == ("a,b",)  # counts keep the label
         with pytest.raises(ValueError, match=r"^level label 'a,b' contains ','"):
-            format_dataset_csv(data)
+            format_dataset_csv(law, 10, seed=13)
 
     @pytest.mark.parametrize("text, message", MALFORMED)
     def test_malformed(self, text, message):
@@ -382,10 +387,15 @@ class TestCsv:
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(case=csv_cases())
     def test_matches_per_row_reference(self, tmp_path_factory, case):
-        text, data = case
+        text, levels, rows, oracle = case
         parsed = parse_dataset_csv(text)
         assert parsed == reference_parse(text)
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         assert read_dataset_file(str(path)) == parsed
-        assert format_dataset_csv(data) == reference_format(data)
+        # the line-table gather, fed the drawn columns
+        columns = [np.array(c, dtype=np.int8) for c in zip(*rows)]
+        columns[1] = columns[1].astype(np.int64)
+        lines = _LineTable(levels, oracle)
+        assert (lines.header(7, len(rows)) + lines.text(tuple(columns))
+                == reference_format(levels, rows, oracle, 7))

@@ -99,6 +99,16 @@ class TestMarginFastPath:
         with pytest.raises(ValueError):
             gain_equality_diff(spec, 1.2, 0.5)
 
+    @pytest.mark.parametrize("p_y1", [0.999, 0.9995, 1.0])
+    @pytest.mark.parametrize("p_y0", [0.0, 0.4, 1.0])
+    def test_matches_full_sum_at_near_certain_outcomes(self, p_y1, p_y0):
+        # the stratum distribution with these margins that puts the most mass on stratum 3
+        p3 = max(0.0, p_y1 + p_y0 - 1.0)
+        probs = (p_y1 - p3, p_y0 - p3, p3, 1.0 - p_y1 - p_y0 + p3)
+        for spec in (spec_from_delta(-2.0, 2.0, 0.0, 0.0), spec_from_delta(3.0, -1.0, 0.5, 1.5)):
+            full = expected_cf_utility_diff(spec, probs)
+            assert gain_equality_diff(spec, p_y1, p_y0) == pytest.approx(full, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(300))
     def test_matches_full_sum_for_random_balanced_tables(self, seed):
         rng = np.random.default_rng(seed)
