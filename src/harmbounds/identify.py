@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import IncompatibleLawsError, PositivityError
-from .laws import ObservedLaw
+from .laws import ObservedLaw, _check_action
 
 #: Default slack for the model-compatibility check on fused ratios.
 DEFAULT_TOL = 1e-9
@@ -44,11 +44,6 @@ def check_tol(tol: float) -> None:
     """Refuse a slack ``tol`` that is not a finite, non-negative number."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be finite and non-negative")
-
-
-def _check_action(a: int, name: str = "a") -> None:
-    if a not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {a!r}")
 
 
 def exp_potential_mean(obs: ObservedLaw, a: int, l: str) -> float:

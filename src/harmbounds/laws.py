@@ -45,7 +45,10 @@ All values are plain 64-bit floats; sum-to-one checks use ``SUM_TOL``
 because inputs typically arrive as decimal text.  A law checks itself when
 it is built and keeps read-only copies of its tables, so a law that exists
 is valid; every function here is pure, so concurrent use needs no
-coordination.
+coordination.  A full law computes its derived tables (``P(S | L)`` and
+the potential-outcome means) on first use and keeps them; they are not
+fields, so equality, pickling and ``dataclasses.replace`` see only the
+tables the law was built from.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def potential_outcome(s: int, a: int) -> int:
     """Outcome a member of stratum ``s`` realizes under treatment ``a``."""
     y1, y0 = STRATUM_OUTCOMES[s]
     return y1 if a == 1 else y0
+
+
+def _check_action(a: int, name: str = "a") -> None:
+    if a not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {a!r}")
 
 
 def _check_prob(value: float, what: str) -> None:
@@ -147,6 +155,10 @@ class FullLaw:
         _check_levels(self.levels, "law",
                       ((self.p_level, "P(L)"), (self.p_astar, "P(A*=1|L)"),
                        (self.p_r1, "P(R=1|L)"), (self.p_treat, "P(A=1|L,R=1)")), self._check_strata)
+        # the derived tables, filled on first use: P(S=. | l) by l, and the
+        # potential means by (a, l), (a, astar, l) and, marginal, by a
+        object.__setattr__(self, "_marginals", {})
+        object.__setattr__(self, "_means", {})
 
     def _check_strata(self, l: str) -> None:
         for astar in (0, 1):
@@ -166,24 +178,42 @@ class FullLaw:
 
     def strata_marginal(self, l: str) -> tuple[float, float, float, float]:
         """``P(S=. | L=l)``, marginalizing the intention variable."""
-        self._require_level(l)
-        pa = self.p_astar[l]
-        c1 = self.p_strata[(l, 1)]
-        c0 = self.p_strata[(l, 0)]
-        return tuple(pa * c1[i] + (1.0 - pa) * c0[i] for i in range(4))  # type: ignore[return-value]
+        probs = self._marginals.get(l)
+        if probs is None:
+            self._require_level(l)
+            pa = self.p_astar[l]
+            c1 = self.p_strata[(l, 1)]
+            c0 = self.p_strata[(l, 0)]
+            probs = self._marginals[l] = tuple(pa * c1[i] + (1.0 - pa) * c0[i] for i in range(4))
+        return probs
 
     def potential_mean(self, a: int, l: str) -> float:
         """``P(Y=1 | L=l)`` under an intervention fixing treatment to ``a``."""
-        return _outcome_mass(self.strata_marginal(l), a)
+        mean = self._means.get((a, l))
+        if mean is None:
+            probs = self.strata_marginal(l)
+            _check_action(a)
+            mean = self._means[(a, l)] = _outcome_mass(probs, a)
+        return mean
 
     def potential_mean_given_astar(self, a: int, astar: int, l: str) -> float:
         """``P(Y=1 | L=l, A*=astar)`` under an intervention fixing ``a``."""
-        self._require_level(l)
-        return _outcome_mass(self.p_strata[(l, astar)], a)
+        mean = self._means.get((a, astar, l))
+        if mean is None:
+            self._require_level(l)
+            _check_action(a)
+            _check_action(astar, "astar")
+            mean = self._means[(a, astar, l)] = _outcome_mass(self.p_strata[(l, astar)], a)
+        return mean
 
     def marginal_potential_mean(self, a: int) -> float:
         """``P(Y=1)`` under an intervention fixing ``a``, marginal over levels."""
-        return sum(self.p_level[l] * self.potential_mean(a, l) for l in self.levels)
+        mean = self._means.get(a)
+        if mean is None:
+            _check_action(a)
+            mean = self._means[a] = sum(self.p_level[l] * self.potential_mean(a, l)
+                                        for l in self.levels)
+        return mean
 
     def marginal_stratum_prob(self, s: int) -> float:
         """``P(S=s)`` marginal over levels and intentions."""

@@ -105,7 +105,8 @@ def _sample_chunks(law: FullLaw, n: int, seed: int) -> Iterator[tuple[np.ndarray
         np.random.Generator(np.random.PCG64(seed).advance(j * n)) for j in range(5))
     levels = law.levels
     k = len(levels)
-    p_level = np.array([law.p_level[l] for l in levels])
+    # a law may hold P(L) down to -SUM_TOL, which choice() refuses; such a level gets no rows
+    p_level = np.array([max(0.0, law.p_level[l]) for l in levels])
     p_level = p_level / p_level.sum()
     p_r1 = np.array([law.p_r1[l] for l in levels])
     p_astar = np.array([law.p_astar[l] for l in levels])

@@ -5,7 +5,10 @@ pushes it forward once if a requested property reads the observed law,
 and runs each requested property's per-trial check on them.  A check tests
 a claimed identity or inequality against direct enumeration (drawing
 random regimes where needed) and returns a failure message or ``None``.
-The sweeps are deterministic in their seed.
+The sweeps are deterministic in their seed.  They share per-law work: the
+law keeps its derived means, ``s3`` draws all of a law's regimes in one
+call, and ``sharpness`` reads all four stratum ranges off one vertex
+enumeration.
 
 ``s3`` and ``s4`` check the treatment regimes defined here: for any rule
 ``g``, measurable in the level, the intention and the stratum (plus
@@ -212,37 +215,33 @@ def improvement_test(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> Impr
     return ImprovementResult(improves, att, atu)
 
 
-def _random_regime(law: FullLaw, rng: np.random.Generator) -> Regime:
-    """A random rule over (level, intention, stratum) cells, half deterministic."""
-    deterministic = rng.random() < 0.5
-    cells = [(l, astar, s) for l in law.levels for astar in (0, 1) for s in STRATA]
-    draws = rng.random(len(cells))  # the same values, in order, as one draw per cell
-    table = dict(zip(cells, (draws.round() if deterministic else draws).tolist()))
-    return Regime.from_table("random", table)
-
-
 @_property("s3")
 def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> _Checks:
     """Any regime effect versus always-treat never exceeds the harm probability.
 
     Also cross-checks the enumeration against the mass-accounting identity
-    ``effect = P(S=1) - (P(S=1, treated) + P(S=2, untreated))``.
+    ``effect = P(S=1) - (P(S=1, treated) + P(S=2, untreated))``.  A random
+    regime treats each (level, intention, stratum) cell with the probability
+    of one uniform, rounded to 0 or 1 when the uniform before them is below 1/2.
     """
     rng = np.random.default_rng(seed + 1)
 
     def check(i: int, law: FullLaw, obs: ObservedLaw | None) -> str | None:
         p_harm = law.marginal_stratum_prob(1)
-        for _ in range(regimes_per_law):
-            regime = _random_regime(law, rng)
-            tau_g = regime_lower_bound(law, regime)
+        groups = [(l, astar, law.p_strata[(l, astar)],
+                   law.p_level[l] * (law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]))
+                  for l in law.levels for astar in (0, 1)]
+        cells = [(l, astar, s) for l, astar, _, _ in groups for s in STRATA]
+        # one draw for all regimes: the same values, in order, as one draw per uniform
+        draws = rng.random(regimes_per_law * (1 + len(cells))).reshape(regimes_per_law, -1)
+        for row in draws:
+            probs = row[1:].round() if row[0] < 0.5 else row[1:]
+            table = dict(zip(cells, probs.tolist()))
+            tau_g = regime_lower_bound(law, Regime.from_table("random", table))
             matched = 0.0
-            for l in law.levels:
-                for astar in (0, 1):
-                    w_a = law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]
-                    block = law.p_strata[(l, astar)]
-                    g1 = regime.treat_prob(l, astar, 1)
-                    g2 = regime.treat_prob(l, astar, 2)
-                    matched += law.p_level[l] * w_a * (block[0] * g1 + block[1] * (1.0 - g2))
+            for l, astar, block, weight in groups:
+                g1, g2 = table[(l, astar, 1)], table[(l, astar, 2)]
+                matched += weight * (block[0] * g1 + block[1] * (1.0 - g2))
             if tau_g > p_harm + 1e-12:
                 return f"trial {i}: effect {tau_g:.3g} exceeds P(S=1) {p_harm:.3g}"
             if abs(tau_g - (p_harm - matched)) > 1e-12:
@@ -458,6 +457,16 @@ def sharp_bounds_lp(system: _LinearConstraintSystem,
     return min(values) / denominator, max(values) / denominator
 
 
+def _stratum_ranges(vertices: tuple[list[tuple[int, ...]], int]) -> list[tuple[float, float]]:
+    """``sharp_bounds_lp(system, stratum_target(s), vertices=vertices)`` per stratum, in one pass.
+
+    In :data:`_Q_CELLS` order stratum ``s`` holds vertex columns ``2s-2`` and ``2s-1``.
+    """
+    points, denominator = vertices
+    masses = zip(*[(p[0] + p[1], p[2] + p[3], p[4] + p[5], p[6] + p[7]) for p in points])
+    return [(min(mass) / denominator, max(mass) / denominator) for mass in masses]
+
+
 def _common_scale(values: Iterable[float]) -> tuple[int, list[int]]:
     """``values`` as integers over their common denominator, and that denominator.
 
@@ -574,11 +583,9 @@ def sweep_sharpness(trials: int, seed: int) -> _Checks:
     def check(i: int, law: FullLaw, obs: ObservedLaw) -> str | None:
         for l in law.levels:
             closed = exp_bounds(obs, l)
-            exp_system = strata_system(obs, l, fuse=False)
-            exp_vertices = polytope_vertices(exp_system)
-            for s in STRATA:
-                lo, hi = sharp_bounds_lp(exp_system, stratum_target(s), vertices=exp_vertices)
-                clo, chi = closed.interval(s)
+            intervals = [closed.interval(s) for s in STRATA]
+            ranges = _stratum_ranges(polytope_vertices(strata_system(obs, l, fuse=False)))
+            for s, (lo, hi), (clo, chi) in zip(STRATA, ranges, intervals):
                 if abs(lo - clo) > SHARPNESS_TOL or abs(hi - chi) > SHARPNESS_TOL:
                     return (f"trial {i} level {l}: LP [{lo:.6g}, {hi:.6g}] vs "
                             f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
@@ -602,8 +609,7 @@ def sweep_sharpness(trials: int, seed: int) -> _Checks:
             truth = law.strata_marginal(l)
             if not (lp_lo - SHARPNESS_TOL <= truth[0] <= lp_hi + SHARPNESS_TOL):
                 return f"trial {i} level {l}: truth {truth[0]:.6g} escapes LP interval"
-            for s in STRATA:
-                clo, chi = closed.interval(s)
+            for s, (clo, chi) in zip(STRATA, intervals):
                 if not (clo - SHARPNESS_TOL <= truth[s - 1] <= chi + SHARPNESS_TOL):
                     return f"trial {i} level {l}: truth escapes stratum {s} interval"
         return None

@@ -654,6 +654,26 @@ class TestSimulatePipeline:
                            "which a dataset CSV field cannot hold\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_level_mass_just_below_zero_samples_as_zero(self, tmp_path, to_file):
+        # a law accepts P(L) down to -SUM_TOL; numpy's choice() refuses a negative weight
+        text = ("L l0 1.0000000005\nL l1 {}\nTRIAL l0 0.5 0.4\nTRIAL l1 0.6 0.5\n"
+                "ASTAR l0 0.3\nASTAR l1 0.7\nS l0 1 0.1 0.2 0.3 0.4\nS l0 0 0.4 0.3 0.2 0.1\n"
+                "S l1 1 0.25 0.25 0.25 0.25\nS l1 0 0.5 0.0 0.5 0.0\n")
+        outputs = []
+        for mass in ("-0.0000000005", "0.0"):
+            law = tmp_path / f"l1_{mass}.law"
+            law.write_text(text.format(mass))
+            assert run("bounds", "--law", str(law))[0] == 0
+            out_path = tmp_path / f"l1_{mass}.csv"
+            to_file_args = ["--out", str(out_path)] if to_file else []
+            code, out, err = run("simulate", "--law", str(law), "--n", "300", "--seed", "4",
+                                 "--oracle", *to_file_args)
+            assert (code, err) == (0, "")
+            outputs.append(out_path.read_bytes() if to_file else out.encode("utf-8"))
+        assert outputs[0] == outputs[1]
+        assert b",l0," in outputs[0] and b",l1," not in outputs[0]
+
     def test_oracle_columns(self, e1_law_path):
         code, out, _ = run("simulate", "--law", e1_law_path, "--n", "10",
                            "--seed", "1", "--oracle")

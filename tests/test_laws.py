@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -98,6 +99,61 @@ class TestValidation:
         args[1]["l0"] = 0.7
         with pytest.raises(LawValidationError, match="P\\(L\\) sums"):
             rebuild(*args)
+
+
+def _outcome_mass(probs, a):
+    return min(1.0, max(0.0, sum(probs[s - 1] for s in STRATA if potential_outcome(s, a) == 1)))
+
+
+class TestDerivedTables:
+    def test_tables_equal_the_direct_formulas_bit_for_bit(self):
+        # a law keeps its derived tables; each entry is the formula it replaced
+        for seed in range(1000):
+            law = random_law(seed, n_levels=1 + seed % 3)
+            if seed % 2:  # fill the tables in another order first
+                law.marginal_potential_mean(seed // 2 % 2)
+            got, want = [], []
+            marginals = {}
+            for l in law.levels:
+                pa, c1, c0 = law.p_astar[l], law.p_strata[(l, 1)], law.p_strata[(l, 0)]
+                marginals[l] = tuple(pa * c1[i] + (1.0 - pa) * c0[i] for i in range(4))
+                got += law.strata_marginal(l)
+                want += marginals[l]
+                for a in (0, 1):
+                    got.append(law.potential_mean(a, l))
+                    want.append(_outcome_mass(marginals[l], a))
+                    for astar in (0, 1):
+                        got.append(law.potential_mean_given_astar(a, astar, l))
+                        want.append(_outcome_mass(law.p_strata[(l, astar)], a))
+            for a in (0, 1):
+                got.append(law.marginal_potential_mean(a))
+                want.append(sum(law.p_level[l] * _outcome_mass(marginals[l], a)
+                                for l in law.levels))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_tables_are_not_fields(self):
+        law = random_law(3, n_levels=2)
+        law.marginal_potential_mean(1)  # fills the tables
+        assert law == random_law(3, n_levels=2)
+        assert law._means and not pickle.loads(pickle.dumps(law))._means
+        swapped = dataclasses.replace(law, p_level=dict(zip(law.levels, (0.25, 0.75))))
+        assert swapped.marginal_potential_mean(1) == (0.25 * law.potential_mean(1, "l0")
+                                                      + 0.75 * law.potential_mean(1, "l1"))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda law: law.potential_mean(2, "l0"), "a must be 0 or 1, got 2"),
+        (lambda law: law.potential_mean(-1, "l0"), "a must be 0 or 1, got -1"),
+        (lambda law: law.marginal_potential_mean(7), "a must be 0 or 1, got 7"),
+        (lambda law: law.potential_mean_given_astar(3, 1, "l0"), "a must be 0 or 1, got 3"),
+        (lambda law: law.potential_mean_given_astar(1, 2, "l0"), "astar must be 0 or 1, got 2"),
+        (lambda law: law.potential_mean(1, "nope"), "unknown level 'nope'"),
+        (lambda law: law.potential_mean_given_astar(2, 2, "nope"), "unknown level 'nope'"),
+        (lambda law: law.strata_marginal("nope"), "unknown level 'nope'"),
+    ], ids=["a=2", "a=-1", "marginal-a=7", "given_astar-a=3", "astar=2", "level",
+            "level-first", "strata_marginal-level"])
+    def test_refuses_an_unknown_action_or_level(self, law_e1, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(law_e1)
 
 
 class TestPushForward:

@@ -1,17 +1,21 @@
+import contextlib
 import dataclasses
+import gc
 import hashlib
+import io
 import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from harmbounds import decide, verify
+from harmbounds import cli, decide, verify
 from harmbounds.bounds import StrataBounds
 from harmbounds.errors import IncompatibleLawsError
 from harmbounds.identify import DEFAULT_TOL
-from harmbounds.laws import STRATA, observed_from_full, read_law_file
+from harmbounds.laws import STRATA, FullLaw, observed_from_full, read_law_file
 from harmbounds.simulate import estimate_observed_law, random_law, sample_dataset
 
 from conftest import DATA_DIR
@@ -38,7 +42,20 @@ def _widened_stratum(fn):
     return lambda *args, **kwargs: _WidenedStratum2(**dataclasses.asdict(fn(*args, **kwargs)))
 
 
-#: test id -> (prop, module the sweep looks the function up in, function, planted fault)
+def _shifted_harm(fn):
+    """Plant ``FullLaw.strata_marginal`` with ``P(S=1 | l)`` shifted by 1e-6."""
+    def planted(*args):
+        probs = fn(*args)
+        return (probs[0] + 1e-6, *probs[1:])
+    return planted
+
+
+def _column_read_twice(fn):
+    """Plant ``_stratum_ranges`` so stratum 1's mass reads ``q(1, 0)`` twice."""
+    return lambda vertices: fn(([p[:1] * 2 + p[2:] for p in vertices[0]], vertices[1]))
+
+
+#: test id -> (prop, module or class the sweep looks the function up in, name, planted fault)
 PLANTED = {
     "s3": ("s3", verify, "regime_lower_bound", _shifted(1e-6)),
     "s4": ("s4", verify, "regime_lower_bound", _shifted(1e-6)),
@@ -48,6 +65,11 @@ PLANTED = {
     "sharpness-fused_bounds": ("sharpness", verify, "fused_bounds", _raised_p_hi),
     "sharpness-exp_bounds": ("sharpness", verify, "exp_bounds", _widened_stratum),
     "fusion": ("fusion", verify, "fused_potential_mean", _shifted(1e-9)),
+    # a law's kept tables: P(Y^a=1 | l), P(S=. | l) and P(Y^a=1)
+    "fusion-potential_mean": ("fusion", FullLaw, "potential_mean", _shifted(1e-6)),
+    "s4-strata_marginal": ("s4", FullLaw, "strata_marginal", _shifted_harm),
+    "s3-marginal_potential_mean": ("s3", FullLaw, "marginal_potential_mean", _shifted(1e-6)),
+    "sharpness-stratum_ranges": ("sharpness", verify, "_stratum_ranges", _column_read_twice),
     # sweep_excess imports excess_outcome when it runs
     "excess": ("excess", decide, "excess_outcome", lambda fn: lambda *args, **kwargs: -1e-6),
 }
@@ -64,6 +86,40 @@ def test_each_sweep_fails_on_a_planted_fault(monkeypatch, case):
     result = sweep(trials=20, seed=0)
     assert not result.ok
     assert result.failures
+
+
+def test_s3_draws_the_pinned_regimes(monkeypatch):
+    # s3 passes for any regimes it draws and prints only pass counts, so this
+    # pins each cell of the 200 regimes drawn in 20 trials at seed 0
+    lines = []
+    original = verify.regime_lower_bound
+
+    def recording(law, regime):
+        lines.append(" ".join(regime.treat_prob(l, astar, s).hex()
+                              for l in law.levels for astar in (0, 1) for s in STRATA))
+        return original(law, regime)
+
+    monkeypatch.setattr(verify, "regime_lower_bound", recording)
+    assert verify.PROPS["s3"](trials=20, seed=0).ok
+    assert len(lines) == 200
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "56add8c4da9261d7152010173eeed3cdc2b56f7d547ce49d8f63a9f9a2d14d90")
+
+
+def test_verify_calls_leave_no_allocations_behind():
+    # a cache that outlived its law would grow with the calls, 3 laws a call
+    def call(seed):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--trials", "3", "--seed", str(seed)]) == 0
+
+    for seed in range(5):  # imports, the parser and the LP eliminations, made once
+        call(seed)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for seed in range(5, 205):
+        call(seed)
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 500
 
 
 @pytest.mark.parametrize("props", [
@@ -223,6 +279,25 @@ def _oracle_golden_lines():
                     lines.append(f"{head} S={s}: {lo.hex()} {hi.hex()} "
                                  f"{denominator} {len(points)} {digest}")
     return lines
+
+
+def test_one_pass_stratum_ranges_equal_the_oracle():
+    # sharpness reads the four stratum ranges off one vertex list in one pass
+    cases = [(obs, tol) for _, obs, tol in _oracle_cases()]
+    cases += [(observed_from_full(random_law(seed, n_levels=1 + seed % 3)), DEFAULT_TOL)
+              for seed in range(200, 1000)]
+    for obs, tol in cases:
+        for l in obs.levels:
+            system = verify.strata_system(obs, l)
+            try:
+                vertices = verify.polytope_vertices(system, tol)
+            except IncompatibleLawsError:
+                continue
+            want = [verify.sharp_bounds_lp(system, verify.stratum_target(s), tol, vertices)
+                    for s in STRATA]
+            got = verify._stratum_ranges(vertices)
+            assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
+                (lo.hex(), hi.hex()) for lo, hi in want]
 
 
 def test_lp_oracle_matches_golden():
