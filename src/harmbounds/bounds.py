@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleLawsError
 from .identify import DEFAULT_TOL, check_tol, exp_potential_mean
-from .laws import FullLaw, ObservedLaw, stratum_margins
+from .laws import FullLaw, ObservedLaw, check_stratum, stratum_margins
 
 _SOURCES = ("experimental-only", "fused", "true-law")
 
@@ -95,6 +95,7 @@ class StrataBounds:
 
     def interval(self, s: int) -> tuple[float, float]:
         """``[lo, hi]`` for ``P(S=s|l)``: the coordinate's range over the family."""
+        check_stratum(s)
         lo, hi = sorted((self.family(self.p_lo)[s - 1], self.family(self.p_hi)[s - 1]))
         return _clamp01(lo), _clamp01(hi)
 

@@ -75,6 +75,12 @@ def potential_outcome(s: int, a: int) -> int:
     return y1 if a == 1 else y0
 
 
+def check_stratum(s: int) -> None:
+    """Refuse a stratum code not in :data:`STRATA`."""
+    if s not in STRATA:
+        raise ValueError(f"stratum must be in {STRATA}, got {s!r}")
+
+
 def _check_action(a: int, name: str = "a") -> None:
     if a not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {a!r}")
@@ -217,6 +223,7 @@ class FullLaw:
 
     def marginal_stratum_prob(self, s: int) -> float:
         """``P(S=s)`` marginal over levels and intentions."""
+        check_stratum(s)
         return sum(self.p_level[l] * self.strata_marginal(l)[s - 1] for l in self.levels)
 
     def _require_level(self, l: str) -> None:

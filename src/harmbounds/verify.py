@@ -28,20 +28,21 @@ verifying the clipped form that survives.
 
 ``sharpness`` checks the closed forms of :mod:`harmbounds.bounds`, both
 endpoints of the fused interval included, against the exact
-vertex-enumeration LP defined here (:func:`sharp_bounds_lp`), which the
-package uses nowhere else.  The LP runs in plain integers: each of its two
-fixed 0/1 constraint structures is eliminated once into distinct integer
-rows, with each basis an index per cell into their values, and each call
-scales its float inputs to integers at one power-of-two denominator and
-divides once at the end.
+vertex-enumeration LP defined here (:func:`polytope_vertices`), which the
+package uses nowhere else.  Each of the LP's two fixed 0/1 constraint
+structures is eliminated once, by Gauss-Jordan over ``Fraction``, into
+distinct integer rows, with each basis an index per cell into their
+values.  Each call then runs in plain integers: it scales its float inputs
+to integers at one power-of-two denominator and divides once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -50,8 +51,8 @@ import numpy as np
 from .bounds import exp_bounds, fused_bounds, fused_lower_bound_s1
 from .errors import IncompatibleLawsError
 from .identify import DEFAULT_TOL, att_atu, check_tol, exp_potential_mean, fused_potential_mean
-from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw, observed_from_full,
-                   potential_outcome, stratum_margins)
+from .laws import (STRATA, STRATUM_OUTCOMES, FullLaw, ObservedLaw, check_stratum,
+                   observed_from_full, potential_outcome, stratum_margins)
 from .simulate import random_law
 
 MAX_FAILURES = 5
@@ -310,15 +311,16 @@ def sweep_s5(trials: int, seed: int) -> _Checks:
 # linear equalities the observed blocks impose; a linear functional attains
 # its extrema at vertices, and every column basis of the system is tried.
 # The two 0/1 coefficient structures are module constants, and each is
-# eliminated once, fraction-free, into integer maps at one common scale (1
-# here: every basis inverse has entries in {-1, 0, 1}).  The maps' rows
-# repeat across bases, so each distinct row is kept once and a basis is an
-# index per cell into the values of those rows, plus one zero slot.  Per
-# call, the right-hand sides and ``tol`` are integers at their common
-# power-of-two denominator (every float is dyadic), each distinct row is
-# one ``int`` dot product, each vertex is read off by index, and each
-# result is one correctly rounded ``int / int``: exact rational arithmetic
-# bit for bit.  This shares no code with the closed forms in bounds.py.
+# eliminated once, by Gauss-Jordan over ``Fraction``, into rational maps
+# brought to integers at their least common denominator (1 here: every
+# basis inverse has entries in {-1, 0, 1}).  The maps' rows repeat across
+# bases, so each distinct row is kept once and a basis is an index per cell
+# into the values of those rows, plus one zero slot.  Per call, the
+# right-hand sides and ``tol`` are integers at their common power-of-two
+# denominator (every float is dyadic), each distinct row is one ``int`` dot
+# product, each vertex is read off by index, and each result is one
+# correctly rounded ``int / int``: exact rational arithmetic bit for bit.
+# This shares no code with the closed forms in bounds.py.
 # ---------------------------------------------------------------------------
 
 #: Variable order for the joint-cell polytope: (stratum, intention).
@@ -348,11 +350,10 @@ _FUSED_STRUCTURE = _structure({**_MARGINS, **{
 class _LinearConstraintSystem:
     """Equality constraints ``A q = b`` over the 8 joint cells, with ``q >= 0`` implicit.
 
-    ``rows`` are integer coefficient rows and ``rhs`` the float right-hand
-    sides.  ``row_labels`` name the constraints for error messages.
+    ``rows`` are integer rows over :data:`_Q_CELLS` and ``rhs`` the float
+    right-hand sides.  ``row_labels`` name the constraints for error messages.
     """
 
-    cells: tuple[tuple[int, int], ...]
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[float, ...]
     row_labels: tuple[str, ...]
@@ -362,14 +363,16 @@ class _LinearConstraintSystem:
 class _Elimination:
     """The elimination of one coefficient structure, as integer maps over ``scale``.
 
-    ``rows`` are the distinct rows of every map.  For a right-hand side
-    ``b``, a call needs only the values ``rows[k] . b / scale``, followed by
-    one zero slot at index ``len(rows)``.  Each entry of ``residuals`` pairs
-    the index of a dependent constraint with the index of the value
-    elimination leaves of its right-hand side.  Each entry of ``bases``
-    belongs to one invertible column basis and holds, per cell, the index
-    of that cell's vertex coordinate (the zero slot for a non-basic cell);
-    the same entry of ``picks`` reads that vertex off the values.
+    ``scale`` is the least common denominator of the rational maps, and
+    ``rows`` are the distinct rows of every map times ``scale``.  For a
+    right-hand side ``b``, a call needs only the values
+    ``rows[k] . b / scale``, followed by one zero slot at index
+    ``len(rows)``.  Each entry of ``residuals`` pairs the index of a
+    dependent constraint with the index of the value elimination leaves of
+    its right-hand side.  Each entry of ``bases`` belongs to one invertible
+    column basis and holds, per cell, the index of that cell's vertex
+    coordinate (the zero slot for a non-basic cell); the same entry of
+    ``picks`` reads that vertex off the values.
     """
 
     scale: int
@@ -393,13 +396,12 @@ def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> _LinearConstr
     else:
         rows, labels = _TRIAL_STRUCTURE
         rhs += (1.0,)
-    return _LinearConstraintSystem(cells=_Q_CELLS, rows=rows, rhs=rhs, row_labels=labels)
+    return _LinearConstraintSystem(rows=rows, rhs=rhs, row_labels=labels)
 
 
 def stratum_target(s: int) -> dict[tuple[int, int], float]:
     """Linear functional selecting the marginal probability of stratum ``s``."""
-    if s not in STRATA:
-        raise ValueError(f"stratum must be in {STRATA}, got {s!r}")
+    check_stratum(s)
     return {(s, 0): 1.0, (s, 1): 1.0}
 
 
@@ -434,22 +436,18 @@ def polytope_vertices(system: _LinearConstraintSystem,
 
 def sharp_bounds_lp(system: _LinearConstraintSystem,
                     target: Mapping[tuple[int, int], float],
-                    tol: float = DEFAULT_TOL,
-                    vertices: tuple[list[tuple[int, ...]], int] | None = None
-                    ) -> tuple[float, float]:
-    """Exact min and max of ``target`` over the feasible polytope.
+                    tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Exact min and max of the linear functional ``target`` over the feasible polytope.
 
-    A linear functional attains its extrema at vertices; pass ``vertices``
-    (from :func:`polytope_vertices`) to evaluate several targets on one
-    enumeration.
+    It attains them at vertices of :func:`polytope_vertices`, where each
+    value is exact in integers, so the results are correctly rounded.
     """
-    check_tol(tol)
-    unknown = set(target) - set(system.cells)
+    unknown = set(target) - set(_Q_CELLS)
     if unknown:
         raise ValueError(f"target references unknown cells: {sorted(unknown)}")
-    terms = [(system.cells.index(cell), c) for cell, c in target.items() if c]
+    terms = [(_Q_CELLS.index(cell), c) for cell, c in target.items() if c]
     coef_scale, coef = _common_scale([c for _, c in terms])
-    points, denominator = polytope_vertices(system, tol) if vertices is None else vertices
+    points, denominator = polytope_vertices(system, tol)
     values = [0] * len(points)
     for (j, _), c in zip(terms, coef):  # a stratum target has two nonzero terms
         values = [value + c * point[j] for value, point in zip(values, points)]
@@ -458,7 +456,7 @@ def sharp_bounds_lp(system: _LinearConstraintSystem,
 
 
 def _stratum_ranges(vertices: tuple[list[tuple[int, ...]], int]) -> list[tuple[float, float]]:
-    """``sharp_bounds_lp(system, stratum_target(s), vertices=vertices)`` per stratum, in one pass.
+    """``sharp_bounds_lp(system, stratum_target(s))`` per stratum from ``system``'s vertices.
 
     In :data:`_Q_CELLS` order stratum ``s`` holds vertex columns ``2s-2`` and ``2s-1``.
     """
@@ -484,97 +482,56 @@ def _dot(a: Iterable[int], b: Iterable[int]) -> int:
 @lru_cache(maxsize=16)
 def _eliminate(rows: tuple[tuple[int, ...], ...]) -> _Elimination:
     """Eliminate one coefficient structure exactly, with its distinct map rows at one scale."""
-    reduced, transform, dependent = _echelon(rows)
-    columns = list(zip(*transform))
-    # Each map is an integer numerator matrix over an integer denominator.
-    residuals = [(k, (row,), multiple) for k, row, multiple in dependent]
-    bases = [(basis, [[_dot(a, c) for c in columns] for a in adjugate], det)
-             for basis, adjugate, det in _invertible_bases(reduced)]
-    scale = lcm(*(abs(den) // gcd(v, den) for _, matrix, den in residuals + bases
-                  for row in matrix for v in row))
+    n = len(rows[0])
+    # [A | I] reduces to [R | T] with R = T A: a right-hand side b becomes T b,
+    # and a dependent row k leaves the residual t_k . b, which must vanish.
+    reduced, dependent = _reduce([[*row, *(int(k == i) for k in range(len(rows)))]
+                                  for i, row in enumerate(rows)], n)
+    rank = len(reduced)
+    bases = []  # (basis, rows of R_B^-1 T), which map b to the basic coordinates
+    for basis in combinations(range(n), rank):
+        inverse, singular = _reduce([[row[j] for j in basis] + row[n:] for row in reduced], rank)
+        if not singular:
+            bases.append((basis, [row[rank:] for row in inverse]))
+    scale = lcm(*(v.denominator for _, tail in dependent for v in tail),
+                *(v.denominator for _, matrix in bases for row in matrix for v in row))
     table: dict[tuple[int, ...], int] = {}  # distinct scaled row -> its index
 
-    def indices(matrix: Sequence[Sequence[int]], den: int) -> list[int]:
-        return [table.setdefault(tuple(v * scale // den for v in row), len(table))
-                for row in matrix]
+    def index(row: Sequence[int | Fraction]) -> int:
+        return table.setdefault(tuple(int(v * scale) for v in row), len(table))
 
-    residual_indices = tuple((k, indices(matrix, den)[0]) for k, matrix, den in residuals)
-    basic = [dict(zip(basis, indices(matrix, den))) for basis, matrix, den in bases]
-    slots = tuple(tuple(where.get(j, len(table)) for j in range(len(rows[0]))) for where in basic)
-    return _Elimination(scale=scale, rows=tuple(table), residuals=residual_indices,
+    residuals = tuple((k, index(tail)) for k, tail in dependent)
+    basic = [dict(zip(basis, map(index, matrix))) for basis, matrix in bases]
+    slots = tuple(tuple(where.get(j, len(table)) for j in range(n)) for where in basic)
+    return _Elimination(scale=scale, rows=tuple(table), residuals=residuals,
                         bases=slots, picks=tuple(itemgetter(*basis) for basis in slots))
 
 
-def _echelon(rows: tuple[tuple[int, ...], ...]) -> tuple[
-        list[list[int]], list[list[int]], list[tuple[int, list[int], int]]]:
-    """Fraction-free forward elimination to an independent row set.
+def _reduce(rows: Iterable[list[int | Fraction]], n: int
+            ) -> tuple[list[list[Fraction]], list[tuple[int, list[int | Fraction]]]]:
+    """Exact Gauss-Jordan elimination of ``rows`` on their first ``n`` columns.
 
-    Each row is augmented with its unit vector, so the augmented part maps
-    a right-hand side to the one elimination produces.  Rows are combined
-    by cross-multiplication, so every entry stays an integer and each row
-    is a known integer multiple of the row rational elimination gives.
-    Returns the independent rows and their augmented parts, and for each
-    dependent row (its coefficients vanish) its index, augmented part and
-    multiple; that row's right-hand side must vanish within ``tol``, or it
-    certifies infeasibility.
+    Returns the independent rows, each with a unit pivot and zeros in the
+    other pivot columns, in pivot-column order; and for each dependent row
+    (its first ``n`` entries vanish) its index and its entries after them.
     """
-    m, n = len(rows), len(rows[0])
-    reduced: list[tuple[int, list[int]]] = []
-    dependent: list[tuple[int, list[int], int]] = []
-    for row_idx, coefficients in enumerate(rows):
-        row = list(coefficients) + [int(k == row_idx) for k in range(m)]
-        multiple = 1
-        for pc, r in reduced:
-            factor = row[pc]
-            if factor != 0:
-                row = [r[pc] * v - factor * w for v, w in zip(row, r)]
-                multiple *= r[pc]
-        pivot = next((j for j in range(n) if row[j] != 0), None)
-        if pivot is None:
-            dependent.append((row_idx, row[n:], multiple))
-        else:
-            reduced.append((pivot, row))
-    return [r[:n] for _, r in reduced], [r[n:] for _, r in reduced], dependent
-
-
-def _invertible_bases(reduced_rows: list[list[int]]
-                      ) -> list[tuple[tuple[int, ...], list[list[int]], int]]:
-    """Every column basis of the reduced matrix with its adjugate and determinant."""
-    rank, n = len(reduced_rows), len(reduced_rows[0])
-    out = []
-    for basis in combinations(range(n), rank):
-        square = [[row[j] for j in basis] for row in reduced_rows]
-        det = _det(square)
-        if det != 0:
-            out.append((basis, _adjugate(square), det))
-    return out
-
-
-def _adjugate(matrix: list[list[int]]) -> list[list[int]]:
-    """Transposed cofactor matrix, so that ``adj(A) A = det(A) I``."""
-    m = len(matrix)
-    return [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:]
-                                     for k, row in enumerate(matrix) if k != i])
-             for i in range(m)] for j in range(m)]
-
-
-def _det(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in matrix]
-    m = len(a)
-    sign, previous = 1, 1
-    for k in range(m):
-        pivot_row = next((i for i in range(k, m) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-        previous = a[k][k]
-    return sign * previous
+    pivots: dict[int, list[Fraction]] = {}  # pivot column -> its row
+    dependent = []
+    for k, row in enumerate(rows):
+        for j, pivot_row in pivots.items():
+            if f := row[j]:
+                row = [v - f * w for v, w in zip(row, pivot_row)]
+        j = next((j for j in range(n) if row[j]), None)
+        if j is None:
+            dependent.append((k, row[n:]))
+            continue
+        pivot = Fraction(row[j])
+        row = [v / pivot for v in row]
+        for i, pivot_row in pivots.items():
+            if f := pivot_row[j]:
+                pivots[i] = [v - f * w for v, w in zip(pivot_row, row)]
+        pivots[j] = row
+    return [pivots[j] for j in sorted(pivots)], dependent
 
 
 @_property("sharpness")
@@ -591,7 +548,7 @@ def sweep_sharpness(trials: int, seed: int) -> _Checks:
                             f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
 
             fused_lb = fused_lower_bound_s1(obs, l)
-            lp_lo, lp_hi = sharp_bounds_lp(strata_system(obs, l, fuse=True), stratum_target(1))
+            lp_lo, lp_hi = _stratum_ranges(polytope_vertices(strata_system(obs, l, fuse=True)))[0]
             if abs(lp_lo - fused_lb) > SHARPNESS_TOL:
                 return f"trial {i} level {l}: LP lower {lp_lo:.6g} vs four-term {fused_lb:.6g}"
             fused = fused_bounds(obs, l)

@@ -80,12 +80,13 @@ def test_simulate_stream_matches_digest():
 @pytest.mark.parametrize("source", [["--law", E1], ["--data", E1_CSV, "--tol", "0.02"]],
                          ids=["law", "data"])
 def test_analysis_does_not_import_numpy(source):
-    # only simulate and verify need numpy
+    # only simulate and verify need numpy, and only verify's LP oracle needs fractions
     proc = harmbounds("bounds", *source, "--fuse",
                       env={**os.environ, "PYTHONPROFILEIMPORTTIME": "1"})
     assert proc.returncode == 0
     assert b"harmbounds.bounds" in proc.stderr  # the import trace was written
-    assert b"numpy" not in proc.stderr
+    for module in (b"numpy", b"fractions", b"decimal"):
+        assert module not in proc.stderr
 
 
 def test_sources_parse_as_python_3_10():

@@ -55,6 +55,20 @@ def _column_read_twice(fn):
     return lambda vertices: fn(([p[:1] * 2 + p[2:] for p in vertices[0]], vertices[1]))
 
 
+def _row_negated(fn):
+    """Plant ``_eliminate`` so the third distinct row of each cached map is negated.
+
+    Negating the first or the second instead empties the first law's polytope, and the
+    oracle's refusal then ends the sweep with an error rather than a failure.
+    """
+    def planted(rows):
+        elimination = fn(rows)
+        rows = elimination.rows
+        return dataclasses.replace(elimination,
+                                   rows=(*rows[:2], tuple(-v for v in rows[2]), *rows[3:]))
+    return planted
+
+
 #: test id -> (prop, module or class the sweep looks the function up in, name, planted fault)
 PLANTED = {
     "s3": ("s3", verify, "regime_lower_bound", _shifted(1e-6)),
@@ -70,6 +84,7 @@ PLANTED = {
     "s4-strata_marginal": ("s4", FullLaw, "strata_marginal", _shifted_harm),
     "s3-marginal_potential_mean": ("s3", FullLaw, "marginal_potential_mean", _shifted(1e-6)),
     "sharpness-stratum_ranges": ("sharpness", verify, "_stratum_ranges", _column_read_twice),
+    "sharpness-eliminate": ("sharpness", verify, "_eliminate", _row_negated),
     # sweep_excess imports excess_outcome when it runs
     "excess": ("excess", decide, "excess_outcome", lambda fn: lambda *args, **kwargs: -1e-6),
 }
@@ -193,36 +208,55 @@ def test_sweeps_need_a_trial(prop):
         verify.PROPS[prop](trials=0, seed=0)
 
 
-@pytest.mark.parametrize("fuse", [False, True], ids=["trial", "fused"])
-def test_cached_basis_maps_are_integer(obs_e1, fuse):
+_FUSED_ROWS = verify._FUSED_STRUCTURE[0]
+
+
+# digest: sha256 of ``repr((scale, rows, residuals, bases))`` of the structure's elimination
+@pytest.mark.parametrize("rows, n_bases, n_rows, digest", [
+    (verify._TRIAL_STRUCTURE[0], 32, 8,
+     "8166cc141ecda444499e51737f40c8f55a86b4b71675a9db4553e295ae530758"),
+    (_FUSED_ROWS, 16, 16, "85449cca07b412e2a2ccda5484c2b2ac3905b7278fe2032cfe508d1c99f6a68a"),
+    # normalization is implied by the fused rows, so it leaves a residual
+    (_FUSED_ROWS + ((1,) * 8,), 16, 17,
+     "3d2e9d1569bb54f4c890b6d3da584a9088ea95b81554c60e8c47a9a76f4ef4d7"),
+], ids=["trial", "fused", "fused-normalization"])
+def test_cached_basis_maps_are_integer(rows, n_bases, n_rows, digest):
     # The oracle's speed rests on this: the cached maps are exact at scale 1,
     # because every basis inverse has entries in {-1, 0, 1}, and the bases
     # share few distinct rows, each evaluated once per call.
-    system = verify.strata_system(obs_e1, "l0", fuse=fuse)
-    elimination = verify._eliminate(system.rows)
+    elimination = verify._eliminate(rows)
+    assert hashlib.sha256(repr((elimination.scale, elimination.rows, elimination.residuals,
+                                elimination.bases)).encode()).hexdigest() == digest
     assert elimination.scale == 1
-    assert len(elimination.bases) == (16 if fuse else 32)
-    assert len(set(elimination.rows)) == len(elimination.rows) == (16 if fuse else 8)
+    assert len(elimination.bases) == n_bases
+    assert len(set(elimination.rows)) == len(elimination.rows) == n_rows
     assert all(type(x) is int for row in elimination.rows for x in row)
     zero_slot = len(elimination.rows)
-    rank = len(system.rows) - len(elimination.residuals)
+    rank = len(rows) - len(elimination.residuals)
     for slots in elimination.bases:
-        assert len(slots) == len(system.cells)
+        assert len(slots) == len(verify._Q_CELLS)
         assert all(type(k) is int and 0 <= k <= zero_slot for k in slots)
         assert sum(k != zero_slot for k in slots) == rank
     rng = random.Random(0)
     for _ in range(5):
         # any integer point gives a right-hand side the system is consistent with
-        q = [rng.randint(-9, 9) for _ in system.cells]
-        b = [sum(a * x for a, x in zip(row, q)) for row in system.rows]
+        q = [rng.randint(-9, 9) for _ in verify._Q_CELLS]
+        b = [sum(a * x for a, x in zip(row, q)) for row in rows]
         values = [sum(c * x for c, x in zip(row, b)) for row in elimination.rows] + [0]
         for _, k in elimination.residuals:
             assert values[k] == 0
         for slots, pick in zip(elimination.bases, elimination.picks):
             vertex = [values[k] for k in slots]
             assert pick(values) == tuple(vertex)
-            for row, rhs in zip(system.rows, b):
+            for row, rhs in zip(rows, b):
                 assert sum(a * x for a, x in zip(row, vertex)) == elimination.scale * rhs
+
+
+def test_each_structure_is_eliminated_once():
+    # the rational elimination runs once per structure, never per call
+    verify._eliminate.cache_clear()
+    assert verify.PROPS["sharpness"](trials=20, seed=0).ok
+    assert verify._eliminate.cache_info().misses == 2
 
 
 def _oracle_cases():
@@ -274,30 +308,30 @@ def _oracle_golden_lines():
                 points, denominator = vertices
                 digest = hashlib.sha256(repr(points).encode()).hexdigest()[:16]
                 for s in STRATA:
-                    lo, hi = verify.sharp_bounds_lp(system, verify.stratum_target(s), tol,
-                                                    vertices=vertices)
+                    lo, hi = verify.sharp_bounds_lp(system, verify.stratum_target(s), tol)
                     lines.append(f"{head} S={s}: {lo.hex()} {hi.hex()} "
                                  f"{denominator} {len(points)} {digest}")
     return lines
 
 
 def test_one_pass_stratum_ranges_equal_the_oracle():
-    # sharpness reads the four stratum ranges off one vertex list in one pass
+    # sharpness reads the four stratum ranges of either system off one vertex list in one pass
     cases = [(obs, tol) for _, obs, tol in _oracle_cases()]
     cases += [(observed_from_full(random_law(seed, n_levels=1 + seed % 3)), DEFAULT_TOL)
               for seed in range(200, 1000)]
     for obs, tol in cases:
         for l in obs.levels:
-            system = verify.strata_system(obs, l)
-            try:
-                vertices = verify.polytope_vertices(system, tol)
-            except IncompatibleLawsError:
-                continue
-            want = [verify.sharp_bounds_lp(system, verify.stratum_target(s), tol, vertices)
-                    for s in STRATA]
-            got = verify._stratum_ranges(vertices)
-            assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
-                (lo.hex(), hi.hex()) for lo, hi in want]
+            for fuse in (False, True):
+                system = verify.strata_system(obs, l, fuse=fuse)
+                try:
+                    vertices = verify.polytope_vertices(system, tol)
+                except IncompatibleLawsError:
+                    continue
+                want = [verify.sharp_bounds_lp(system, verify.stratum_target(s), tol)
+                        for s in STRATA]
+                got = verify._stratum_ranges(vertices)
+                assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
+                    (lo.hex(), hi.hex()) for lo, hi in want]
 
 
 def test_lp_oracle_matches_golden():
