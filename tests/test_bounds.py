@@ -10,7 +10,8 @@ from harmbounds import (IncompatibleLawsError, Regime, STRATA, att_atu, exp_boun
                         identified_means, improvement_test, observed_from_full, random_law,
                         regime_lower_bound, regime_value, stratum_margins)
 from harmbounds.bounds import family_bounds
-from harmbounds.verify import sharp_bounds_lp, strata_system, stratum_target
+from harmbounds.verify import (_stratum_ranges, polytope_vertices, sharp_bounds_lp,
+                               strata_system, stratum_target)
 
 from conftest import unconfounded
 
@@ -167,6 +168,12 @@ class TestSharpBoundsLP:
         system = strata_system(obs_e1, "l0", fuse=False)
         assert sharp_bounds_lp(system, stratum_target(1)) == pytest.approx((0.0, 0.3), abs=1e-9)
         assert sharp_bounds_lp(system, stratum_target(3)) == pytest.approx((0.0, 0.3), abs=1e-9)
+
+    def test_shared_vertex_enumeration(self, obs_e1):
+        # the four stratum ranges read off one shared vertex list equal one LP per stratum
+        system = strata_system(obs_e1, "l0", fuse=True)
+        shared = _stratum_ranges(polytope_vertices(system))
+        assert shared == [sharp_bounds_lp(system, stratum_target(s)) for s in STRATA]
 
     def test_general_linear_functional(self, obs_e1):
         # harmed-minus-saved difference is identified by the trial margins alone
