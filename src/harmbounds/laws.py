@@ -86,9 +86,10 @@ def _check_action(a: int, name: str = "a") -> None:
         raise ValueError(f"{name} must be 0 or 1, got {a!r}")
 
 
-def _check_prob(value: float, what: str) -> None:
+def _check_prob(value: float, what: str, *args: object) -> None:
+    """Refuse ``value`` unless it is a probability; ``what.format(*args)`` names it."""
     if not (-SUM_TOL <= value <= 1.0 + SUM_TOL):
-        raise LawValidationError(f"{what} = {value!r} is not a probability")
+        raise LawValidationError(f"{what.format(*args)} = {value!r} is not a probability")
 
 
 def _store(law: object, **tables: Mapping) -> None:
@@ -118,7 +119,7 @@ def _check_levels(levels: tuple[str, ...], what: str,
         for mapping, name in tables:
             if l not in mapping:
                 raise LawValidationError(f"missing {name} entry for level {l!r}")
-            _check_prob(mapping[l], f"{name} at level {l!r}")
+            _check_prob(mapping[l], "{} at level {!r}", name, l)
         total += tables[0][0][l]
         check_blocks(l)
     if abs(total - 1.0) > SUM_TOL:
@@ -176,7 +177,7 @@ class FullLaw:
                 raise LawValidationError(
                     f"stratum block (level {l!r}, astar={astar}) has {len(block)} entries")
             for s in STRATA:
-                _check_prob(block[s - 1], f"P(S={s} | level {l!r}, astar={astar})")
+                _check_prob(block[s - 1], "P(S={} | level {!r}, astar={})", s, l, astar)
             block_sum = sum(block)
             if abs(block_sum - 1.0) > SUM_TOL:
                 raise LawValidationError(
@@ -265,7 +266,7 @@ class ObservedLaw:
                     if (y, a) not in block:
                         raise LawValidationError(
                             f"missing cell (Y={y}, A={a}) in block (level {l!r}, R={r})")
-                    _check_prob(block[(y, a)], f"P(Y={y},A={a} | level {l!r}, R={r})")
+                    _check_prob(block[(y, a)], "P(Y={},A={} | level {!r}, R={})", y, a, l, r)
                     block_sum += block[(y, a)]
             if abs(block_sum - 1.0) > SUM_TOL:
                 raise LawValidationError(f"block (level {l!r}, R={r}) sums to {block_sum:g}")

@@ -60,25 +60,19 @@ def random_law(seed: int, n_levels: int = 1) -> FullLaw:
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
-    rng = np.random.default_rng(seed)
-    levels = tuple(f"l{i}" for i in range(n_levels))
-
-    weights = rng.uniform(0.1, 1.0, size=n_levels)
-    p_level = {l: float(w / weights.sum()) for l, w in zip(levels, weights)}
-
-    p_astar = {l: float(rng.uniform(0.2, 0.8)) for l in levels}
-    p_r1 = {l: float(rng.uniform(0.35, 0.65)) for l in levels}
-    p_treat = {l: float(rng.uniform(0.35, 0.65)) for l in levels}
-
-    def strata_vector() -> tuple[float, float, float, float]:
-        w = rng.uniform(0.05, 1.0, size=4)
-        w = w / w.sum()
-        return tuple(float(v) for v in w)  # type: ignore[return-value]
-
-    p_strata: dict[tuple[str, int], tuple[float, float, float, float]] = {}
-    for l in levels:
-        p_strata[(l, 1)] = strata_vector()
-        p_strata[(l, 0)] = strata_vector()
+    k = n_levels
+    levels = tuple(f"l{i}" for i in range(k))
+    # One draw of 12k uniforms, each mapped to lo + (hi - lo) * u as Generator.uniform
+    # maps it, gives what one call per table drew: k P(L) weights, k each of P(A*=1|L),
+    # P(R=1|L) and P(A=1|L,R=1), then four stratum weights per level and A* = 1, 0.
+    lo, hi = np.repeat([[0.1, 0.2, 0.35, 0.35, 0.05], [1.0, 0.8, 0.65, 0.65, 1.0]],
+                       (k, k, k, k, 8 * k), axis=1)
+    u = lo + (hi - lo) * np.random.default_rng(seed).random(12 * k)
+    weights, strata = u[:k], u[4 * k:].reshape(2 * k, 4)
+    p_level, p_astar, p_r1, p_treat = (dict(zip(levels, table)) for table in (
+        (weights / weights.sum()).tolist(), *u[k:4 * k].reshape(3, k).tolist()))
+    blocks = map(tuple, (strata / strata.sum(axis=1, keepdims=True)).tolist())
+    p_strata = dict(zip([(l, astar) for l in levels for astar in (1, 0)], blocks))
 
     return FullLaw(levels=levels, p_level=p_level, p_astar=p_astar,
                    p_strata=p_strata, p_r1=p_r1, p_treat=p_treat)

@@ -7,8 +7,8 @@ a claimed identity or inequality against direct enumeration (drawing
 random regimes where needed) and returns a failure message or ``None``.
 The sweeps are deterministic in their seed.  They share per-law work: the
 law keeps its derived means, ``s3`` draws all of a law's regimes in one
-call, and ``sharpness`` reads all four stratum ranges off one vertex
-enumeration.
+call and values each from one table of the law's weighted cells, and
+``sharpness`` reads all four stratum ranges off one vertex enumeration.
 
 ``s3`` and ``s4`` check the treatment regimes defined here: for any rule
 ``g``, measurable in the level, the intention and the stratum (plus
@@ -31,9 +31,11 @@ endpoints of the fused interval included, against the exact
 vertex-enumeration LP defined here (:func:`polytope_vertices`), which the
 package uses nowhere else.  Each of the LP's two fixed 0/1 constraint
 structures is eliminated once, by Gauss-Jordan over ``Fraction``, into
-distinct integer rows, with each basis an index per cell into their
-values.  Each call then runs in plain integers: it scales its float inputs
-to integers at one power-of-two denominator and divides once at the end.
+distinct integer rows, compiled into one straight-line function of the
+right-hand side, with each basis an index per cell into the values it
+returns.  Each call then runs in plain integers: it scales its float
+inputs to integers at their largest power-of-two denominator, calls that
+function once, reads each vertex off by index and divides once at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -169,24 +171,37 @@ class Regime:
         return Regime(name, lambda l, astar, s: table[(l, astar, s)])
 
 
-def regime_value(law: FullLaw, regime: Regime) -> float:
-    """``P(Y=1)`` when treatment is assigned by ``regime``, by cell enumeration."""
-    total = 0.0
+def _regime_cells(law: FullLaw) -> list[tuple[str, int, int, float]]:
+    """``(l, astar, s, P(L=l, A*=astar, S=s))`` per cell, in the order regimes enumerate them."""
+    cells = []
     for l in law.levels:
         for astar in (0, 1):
             w_astar = law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]
             block = law.p_strata[(l, astar)]
-            for s in STRATA:
-                weight = law.p_level[l] * w_astar * block[s - 1]
-                if weight == 0.0:
-                    continue
-                g = regime.treat_prob(l, astar, s)
-                if not 0.0 <= g <= 1.0:
-                    raise ValueError(
-                        f"regime {regime.name!r} returned {g!r} at ({l!r}, {astar}, {s})")
-                y1, y0 = STRATUM_OUTCOMES[s]
-                total += weight * (g * y1 + (1.0 - g) * y0)
+            cells.extend((l, astar, s, law.p_level[l] * w_astar * block[s - 1]) for s in STRATA)
+    return cells
+
+
+def _cells_value(cells: Sequence[tuple[str, int, int, float]], probs: Iterable[float]) -> float:
+    """``P(Y=1)`` treating ``cells[k]`` with probability ``probs[k]``; zero weights are skipped."""
+    total = 0.0
+    for (_, _, s, weight), g in zip(cells, probs):
+        if weight != 0.0:
+            y1, y0 = STRATUM_OUTCOMES[s]
+            total += weight * (g * y1 + (1.0 - g) * y0)
     return total
+
+
+def regime_value(law: FullLaw, regime: Regime) -> float:
+    """``P(Y=1)`` when treatment is assigned by ``regime``, by cell enumeration."""
+    cells = _regime_cells(law)
+    probs = []
+    for l, astar, s, weight in cells:
+        g = regime.treat_prob(l, astar, s) if weight != 0.0 else 0.0
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"regime {regime.name!r} returned {g!r} at ({l!r}, {astar}, {s})")
+        probs.append(g)
+    return _cells_value(cells, probs)
 
 
 def regime_lower_bound(law: FullLaw, regime: Regime) -> float:
@@ -197,6 +212,12 @@ def regime_lower_bound(law: FullLaw, regime: Regime) -> float:
     stratum 2 untreated), which is non-negative for every law.
     """
     return law.marginal_potential_mean(1) - regime_value(law, regime)
+
+
+def _table_lower_bound(law: FullLaw, cells: Sequence[tuple[str, int, int, float]],
+                       probs: Sequence[float]) -> float:
+    """:func:`regime_lower_bound` of the regime treating ``cells[k]`` with ``probs[k]``."""
+    return law.marginal_potential_mean(1) - _cells_value(cells, probs)
 
 
 class ImprovementResult(NamedTuple):
@@ -229,19 +250,17 @@ def sweep_s3(trials: int, seed: int, regimes_per_law: int = 10) -> _Checks:
 
     def check(i: int, law: FullLaw, obs: ObservedLaw | None) -> str | None:
         p_harm = law.marginal_stratum_prob(1)
-        groups = [(l, astar, law.p_strata[(l, astar)],
+        cells = _regime_cells(law)
+        groups = [(law.p_strata[(l, astar)],
                    law.p_level[l] * (law.p_astar[l] if astar == 1 else 1.0 - law.p_astar[l]))
                   for l in law.levels for astar in (0, 1)]
-        cells = [(l, astar, s) for l, astar, _, _ in groups for s in STRATA]
         # one draw for all regimes: the same values, in order, as one draw per uniform
         draws = rng.random(regimes_per_law * (1 + len(cells))).reshape(regimes_per_law, -1)
         for row in draws:
-            probs = row[1:].round() if row[0] < 0.5 else row[1:]
-            table = dict(zip(cells, probs.tolist()))
-            tau_g = regime_lower_bound(law, Regime.from_table("random", table))
+            probs = (row[1:].round() if row[0] < 0.5 else row[1:]).tolist()
+            tau_g = _table_lower_bound(law, cells, probs)
             matched = 0.0
-            for l, astar, block, weight in groups:
-                g1, g2 = table[(l, astar, 1)], table[(l, astar, 2)]
+            for (block, weight), g1, g2 in zip(groups, probs[0::4], probs[1::4]):
                 matched += weight * (block[0] * g1 + block[1] * (1.0 - g2))
             if tau_g > p_harm + 1e-12:
                 return f"trial {i}: effect {tau_g:.3g} exceeds P(S=1) {p_harm:.3g}"
@@ -315,11 +334,13 @@ def sweep_s5(trials: int, seed: int) -> _Checks:
 # brought to integers at their least common denominator (1 here: every
 # basis inverse has entries in {-1, 0, 1}).  The maps' rows repeat across
 # bases, so each distinct row is kept once and a basis is an index per cell
-# into the values of those rows, plus one zero slot.  Per call, the
-# right-hand sides and ``tol`` are integers at their common power-of-two
-# denominator (every float is dyadic), each distinct row is one ``int`` dot
-# product, each vertex is read off by index, and each result is one
-# correctly rounded ``int / int``: exact rational arithmetic bit for bit.
+# into the values of those rows, plus one zero slot; the distinct rows are
+# compiled once into one function returning all those values.  Per call,
+# the right-hand sides and ``tol`` are integers at their common power-of-two
+# denominator (every float is dyadic, so it is the largest of theirs), one
+# call of that function gives every value, each vertex is read off by
+# index, and each result is one correctly rounded ``int / int``: exact
+# rational arithmetic bit for bit.
 # This shares no code with the closed forms in bounds.py.
 # ---------------------------------------------------------------------------
 
@@ -367,12 +388,15 @@ class _Elimination:
     ``rows`` are the distinct rows of every map times ``scale``.  For a
     right-hand side ``b``, a call needs only the values
     ``rows[k] . b / scale``, followed by one zero slot at index
-    ``len(rows)``.  Each entry of ``residuals`` pairs the index of a
-    dependent constraint with the index of the value elimination leaves of
-    its right-hand side.  Each entry of ``bases`` belongs to one invertible
-    column basis and holds, per cell, the index of that cell's vertex
-    coordinate (the zero slot for a non-basic cell); the same entry of
-    ``picks`` reads that vertex off the values.
+    ``len(rows)``; ``evaluate(b)`` returns those dot products and the zero
+    slot.  It is compiled from ``rows`` when the elimination is made, so a
+    copy with other ``rows`` compiles its own.  Each entry of
+    ``residuals`` pairs the index of a dependent constraint with the index
+    of the value elimination leaves of its right-hand side.  Each entry of
+    ``bases`` belongs to one invertible column basis and holds, per cell,
+    the index of that cell's vertex coordinate (the zero slot for a
+    non-basic cell); the same entry of ``picks`` reads that vertex off the
+    values.
     """
 
     scale: int
@@ -380,6 +404,13 @@ class _Elimination:
     residuals: tuple[tuple[int, int], ...]
     bases: tuple[tuple[int, ...], ...]
     picks: tuple[itemgetter, ...]
+    evaluate: Callable[[Sequence[int]], list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # each row as one sum of signed terms, such as "-b[1]+b[3]+2*b[4]"
+        terms = ("".join(("+" if c > 0 else "-") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"b[{j}]"
+                         for j, c in enumerate(row) if c) or "0" for row in self.rows)
+        object.__setattr__(self, "evaluate", eval(f"lambda b: [{', '.join(terms)}, 0]", {}))
 
 
 def strata_system(obs: ObservedLaw, l: str, fuse: bool = False) -> _LinearConstraintSystem:
@@ -419,13 +450,12 @@ def polytope_vertices(system: _LinearConstraintSystem,
     rhs_scale, (*rhs, t) = _common_scale((*system.rhs, tol))
     slack = elimination.scale * t
     denominator = elimination.scale * rhs_scale
-    values = [_dot(row, rhs) for row in elimination.rows]
+    values = elimination.evaluate(rhs)
     for k, j in elimination.residuals:
         if abs(values[j]) > slack:
             raise IncompatibleLawsError(
                 f"incompatible observed law: constraint "
                 f"{system.row_labels[k]!r} is off by {values[j] / denominator:.3g}")
-    values.append(0)
     negative = {k for k, value in enumerate(values) if value < -slack}
     vertices = [pick(values) for slots, pick in zip(elimination.bases, elimination.picks)
                 if negative.isdisjoint(slots)]
@@ -468,15 +498,11 @@ def _stratum_ranges(vertices: tuple[list[tuple[int, ...]], int]) -> list[tuple[f
 def _common_scale(values: Iterable[float]) -> tuple[int, list[int]]:
     """``values`` as integers over their common denominator, and that denominator.
 
-    For floats the denominator is the largest power of two among theirs.
+    Every float's denominator is a power of two, so the common one is the largest.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*(d for _, d in ratios))
+    scale = max(d for _, d in ratios)
     return scale, [n * (scale // d) for n, d in ratios]
-
-
-def _dot(a: Iterable[int], b: Iterable[int]) -> int:
-    return sum(map(mul, a, b))
 
 
 @lru_cache(maxsize=16)
@@ -541,14 +567,18 @@ def sweep_sharpness(trials: int, seed: int) -> _Checks:
         for l in law.levels:
             closed = exp_bounds(obs, l)
             intervals = [closed.interval(s) for s in STRATA]
-            ranges = _stratum_ranges(polytope_vertices(strata_system(obs, l, fuse=False)))
+            try:  # a valid law's polytopes are never empty, so a refusal is the oracle's fault
+                ranges = _stratum_ranges(polytope_vertices(strata_system(obs, l, fuse=False)))
+                lp_lo, lp_hi = _stratum_ranges(
+                    polytope_vertices(strata_system(obs, l, fuse=True)))[0]
+            except IncompatibleLawsError as exc:
+                return f"trial {i} level {l}: oracle refused: {exc}"
             for s, (lo, hi), (clo, chi) in zip(STRATA, ranges, intervals):
                 if abs(lo - clo) > SHARPNESS_TOL or abs(hi - chi) > SHARPNESS_TOL:
                     return (f"trial {i} level {l}: LP [{lo:.6g}, {hi:.6g}] vs "
                             f"closed [{clo:.6g}, {chi:.6g}] for stratum {s}")
 
             fused_lb = fused_lower_bound_s1(obs, l)
-            lp_lo, lp_hi = _stratum_ranges(polytope_vertices(strata_system(obs, l, fuse=True)))[0]
             if abs(lp_lo - fused_lb) > SHARPNESS_TOL:
                 return f"trial {i} level {l}: LP lower {lp_lo:.6g} vs four-term {fused_lb:.6g}"
             fused = fused_bounds(obs, l)

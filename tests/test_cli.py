@@ -756,10 +756,10 @@ class TestVerify:
         assert err == f"usage error: --props has an empty entry: {props!r}\n"
 
     def test_fault_inside_a_sweep_is_not_a_usage_error(self, monkeypatch):
-        def broken(law, regime):
+        def broken(law, cells, probs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(verify, "regime_lower_bound", broken)
+        monkeypatch.setattr(verify, "_table_lower_bound", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run("verify", "--props", "s3", "--trials", "5")
 

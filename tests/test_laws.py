@@ -47,6 +47,14 @@ OBSERVED_FAULTS = {
                   r"block \(level 'l0', R=1\) sums to 2"),
     "level-sum": (lambda o: dict(p_level={"l0": 0.7}), r"P\(L\) sums to 0.7"),
 }
+#: test id -> (changes to the e1 full law, message of the refusal)
+FULL_LAW_FAULTS = {
+    "p_astar-range": (lambda law: dict(p_astar={"l0": 1.5}),
+                      r"^P\(A\*=1\|L\) at level 'l0' = 1.5 is not a probability$"),
+    "stratum-entry-range": (
+        lambda law: dict(p_strata={**law.p_strata, ("l0", 1): (0.5, 1.5, -1.0, 0.0)}),
+        r"^P\(S=2 \| level 'l0', astar=1\) = 1.5 is not a probability$"),
+}
 
 
 class TestValidation:
@@ -62,19 +70,17 @@ class TestValidation:
         dataclasses.replace(law_e1, p_strata={("l0", 1): (0.0, 0.0, 0.0, 1.0),
                                               ("l0", 0): (0.0, 0.0, 0.0, 1.0)})
 
-    def test_probability_out_of_range(self, law_e1):
-        with pytest.raises(LawValidationError, match="P\\(A\\*=1\\|L\\)"):
-            dataclasses.replace(law_e1, p_astar={"l0": 1.5})
-
     def test_level_mass_must_normalize(self, law_e1):
         with pytest.raises(LawValidationError, match="P\\(L\\) sums"):
             dataclasses.replace(law_e1, p_level={"l0": 0.7})
 
-    @pytest.mark.parametrize("case", OBSERVED_FAULTS)
-    def test_observed_law_messages(self, obs_e1, case):
-        changes, message = OBSERVED_FAULTS[case]
+    # the full law's probability messages too, which share the observed law's check
+    @pytest.mark.parametrize("case", [*OBSERVED_FAULTS, *FULL_LAW_FAULTS])
+    def test_observed_law_messages(self, law_e1, obs_e1, case):
+        law, (changes, message) = ((obs_e1, OBSERVED_FAULTS[case]) if case in OBSERVED_FAULTS
+                                   else (law_e1, FULL_LAW_FAULTS[case]))
         with pytest.raises(LawValidationError, match=message):
-            dataclasses.replace(obs_e1, **changes(obs_e1))
+            dataclasses.replace(law, **changes(law))
 
     def test_tables_are_read_only_copies(self, law_e1, obs_e1):
         for table, key in ((law_e1.p_level, "l0"), (law_e1.p_strata, ("l0", 1)),

@@ -46,6 +46,33 @@ class TestRandomLaw:
         with pytest.raises(ValueError):
             random_law(1, n_levels=0)
 
+    def test_tables_match_one_uniform_call_per_table(self):
+        # random_law maps one draw of uniforms; this rebuilds its tables the way
+        # one Generator.uniform call per table draws them, and compares every bit
+        def per_call_tables(seed, k):
+            rng = np.random.default_rng(seed)
+            levels = [f"l{i}" for i in range(k)]
+            weights = rng.uniform(0.1, 1.0, size=k)
+            tables = [{l: float(w / weights.sum()) for l, w in zip(levels, weights)}]
+            for lo, hi in ((0.2, 0.8), (0.35, 0.65), (0.35, 0.65)):
+                tables.append({l: float(rng.uniform(lo, hi)) for l in levels})
+            strata = {}
+            for l in levels:
+                for astar in (1, 0):
+                    w = rng.uniform(0.05, 1.0, size=4)
+                    strata[(l, astar)] = tuple(float(v) for v in w / w.sum())
+            return [*tables, strata]
+
+        def hexed(table):
+            return [(key, [float.hex(v) for v in np.atleast_1d(value)])
+                    for key, value in table.items()]
+
+        seeds = [*range(1000), *np.random.default_rng(0).integers(0, 2**63, size=1000).tolist()]
+        for i, seed in enumerate(seeds):
+            law = random_law(seed, n_levels=1 + i % 4)
+            got = [law.p_level, law.p_astar, law.p_r1, law.p_treat, law.p_strata]
+            assert list(map(hexed, got)) == list(map(hexed, per_call_tables(seed, 1 + i % 4)))
+
 
 @st.composite
 def stratum_laws(draw):

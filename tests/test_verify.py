@@ -55,23 +55,26 @@ def _column_read_twice(fn):
     return lambda vertices: fn(([p[:1] * 2 + p[2:] for p in vertices[0]], vertices[1]))
 
 
-def _row_negated(fn):
-    """Plant ``_eliminate`` so the third distinct row of each cached map is negated.
+def _row_negated(k):
+    """Plant ``_eliminate`` so distinct row ``k`` of each cached map is negated.
 
-    Negating the first or the second instead empties the first law's polytope, and the
-    oracle's refusal then ends the sweep with an error rather than a failure.
+    Negating row 2 makes the oracle's ranges disagree with the closed forms.  Negating
+    row 0 does too, and it also empties the polytopes of some laws, the third one
+    first; the sweep counts the oracle's refusal of those as a failure.
     """
-    def planted(rows):
-        elimination = fn(rows)
-        rows = elimination.rows
-        return dataclasses.replace(elimination,
-                                   rows=(*rows[:2], tuple(-v for v in rows[2]), *rows[3:]))
-    return planted
+    def plant(fn):
+        def planted(rows):
+            elimination = fn(rows)
+            rows = elimination.rows
+            return dataclasses.replace(elimination,
+                                       rows=(*rows[:k], tuple(-v for v in rows[k]), *rows[k + 1:]))
+        return planted
+    return plant
 
 
 #: test id -> (prop, module or class the sweep looks the function up in, name, planted fault)
 PLANTED = {
-    "s3": ("s3", verify, "regime_lower_bound", _shifted(1e-6)),
+    "s3": ("s3", verify, "_table_lower_bound", _shifted(1e-6)),
     "s4": ("s4", verify, "regime_lower_bound", _shifted(1e-6)),
     # non-improving laws then show a bound gain
     "s5": ("s5", verify, "fused_lower_bound_s1", _shifted(1e-6)),
@@ -84,7 +87,8 @@ PLANTED = {
     "s4-strata_marginal": ("s4", FullLaw, "strata_marginal", _shifted_harm),
     "s3-marginal_potential_mean": ("s3", FullLaw, "marginal_potential_mean", _shifted(1e-6)),
     "sharpness-stratum_ranges": ("sharpness", verify, "_stratum_ranges", _column_read_twice),
-    "sharpness-eliminate": ("sharpness", verify, "_eliminate", _row_negated),
+    "sharpness-eliminate": ("sharpness", verify, "_eliminate", _row_negated(2)),
+    "sharpness-eliminate-refused": ("sharpness", verify, "_eliminate", _row_negated(0)),
     # sweep_excess imports excess_outcome when it runs
     "excess": ("excess", decide, "excess_outcome", lambda fn: lambda *args, **kwargs: -1e-6),
 }
@@ -101,20 +105,27 @@ def test_each_sweep_fails_on_a_planted_fault(monkeypatch, case):
     result = sweep(trials=20, seed=0)
     assert not result.ok
     assert result.failures
+    # and the command reports it as a failed property, not as an error
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--trials", "20", "--seed", "0", "--props", prop])
+    assert code == 1
+    assert f"  FAIL: {result.failures[0]}\n" in out.getvalue()
 
 
 def test_s3_draws_the_pinned_regimes(monkeypatch):
     # s3 passes for any regimes it draws and prints only pass counts, so this
     # pins each cell of the 200 regimes drawn in 20 trials at seed 0
     lines = []
-    original = verify.regime_lower_bound
+    original = verify._table_lower_bound
 
-    def recording(law, regime):
-        lines.append(" ".join(regime.treat_prob(l, astar, s).hex()
-                              for l in law.levels for astar in (0, 1) for s in STRATA))
-        return original(law, regime)
+    def recording(law, cells, probs):
+        assert [cell[:3] for cell in cells] == [
+            (l, astar, s) for l in law.levels for astar in (0, 1) for s in STRATA]
+        lines.append(" ".join(g.hex() for g in probs))
+        return original(law, cells, probs)
 
-    monkeypatch.setattr(verify, "regime_lower_bound", recording)
+    monkeypatch.setattr(verify, "_table_lower_bound", recording)
     assert verify.PROPS["s3"](trials=20, seed=0).ok
     assert len(lines) == 200
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
@@ -239,10 +250,18 @@ def test_cached_basis_maps_are_integer(rows, n_bases, n_rows, digest):
         assert sum(k != zero_slot for k in slots) == rank
     rng = random.Random(0)
     for _ in range(5):
+        # the compiled evaluator is every distinct row's dot product, then the zero slot
+        b = [rng.randint(-2**80, 2**80) for _ in rows]
+        assert elimination.evaluate(b) == [
+            sum(c * x for c, x in zip(row, b)) for row in elimination.rows] + [0]
+    # other rows compile their own evaluator, coefficients beyond +-1 and zero rows included
+    other = dataclasses.replace(elimination, rows=((2, -3, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 5)))
+    assert other.evaluate([7, 11, 13, 17]) == [14 - 33 + 13, 0, -7 + 85, 0]
+    for _ in range(5):
         # any integer point gives a right-hand side the system is consistent with
         q = [rng.randint(-9, 9) for _ in verify._Q_CELLS]
         b = [sum(a * x for a, x in zip(row, q)) for row in rows]
-        values = [sum(c * x for c, x in zip(row, b)) for row in elimination.rows] + [0]
+        values = elimination.evaluate(b)
         for _, k in elimination.residuals:
             assert values[k] == 0
         for slots, pick in zip(elimination.bases, elimination.picks):
