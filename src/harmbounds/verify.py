@@ -166,10 +166,6 @@ class Regime:
             raise ValueError("q must lie in [0, 1]")
         return Regime(f"noise({q:g})", lambda l, astar, s: q)
 
-    @staticmethod
-    def from_table(name: str, table: Mapping[tuple[str, int, int], float]) -> "Regime":
-        return Regime(name, lambda l, astar, s: table[(l, astar, s)])
-
 
 def _regime_cells(law: FullLaw) -> list[tuple[str, int, int, float]]:
     """``(l, astar, s, P(L=l, A*=astar, S=s))`` per cell, in the order regimes enumerate them."""

@@ -99,3 +99,21 @@ def test_sources_parse_as_python_3_10():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+
+
+def test_no_test_is_parametrized_over_seeds_alone():
+    # a property over random laws is checked by a verify sweep or by one loop over its seeds
+    found = []
+    for folder, _, names in os.walk(os.path.join(ROOT, "tests")):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "parametrize" and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and node.args[0].value == "seed"):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
