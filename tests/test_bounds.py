@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -46,13 +47,25 @@ class TestExpBounds:
         assert b.interval(1) == pytest.approx((1.0, 1.0), abs=1e-12)
         assert b.p_hi - b.p_lo <= 1e-12
 
-    def test_family_is_a_distribution_at_endpoints(self):
-        for seed in range(100):
-            b = exp_bounds(observed_from_full(random_law(seed)), "l0")
-            for p in (b.p_lo, b.p_hi, 0.5 * (b.p_lo + b.p_hi)):
-                fam = b.family(p)
-                assert sum(fam) == pytest.approx(1.0, abs=1e-12), seed
-                assert min(fam) >= -1e-12, seed
+    @pytest.mark.parametrize("seed", range(100))
+    def test_family_is_a_distribution_at_endpoints(self, seed):
+        law = random_law(seed)
+        b = exp_bounds(observed_from_full(law), "l0")
+        for p in (b.p_lo, b.p_hi, 0.5 * (b.p_lo + b.p_hi)):
+            fam = b.family(p)
+            assert sum(fam) == pytest.approx(1.0, abs=1e-12)
+            assert min(fam) >= -1e-12
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_truth_contained(self, seed):
+        law = random_law(seed, n_levels=2)
+        obs = observed_from_full(law)
+        for l in law.levels:
+            b = exp_bounds(obs, l)
+            truth = law.strata_marginal(l)
+            for s in STRATA:
+                lo, hi = b.interval(s)
+                assert lo - 1e-9 <= truth[s - 1] <= hi + 1e-9
 
 
 class TestFusedLowerBound:
@@ -61,12 +74,12 @@ class TestFusedLowerBound:
         assert lb == pytest.approx(0.1, abs=1e-9)
         assert lb == pytest.approx(law_e1.strata_marginal("l0")[0], abs=1e-9)
 
-    def test_unconfounded_collapses_to_experimental(self):
-        for seed in range(50):
-            law = unconfounded(random_law(seed))
-            _, _, tau0 = stratum_margins(law, "l0")
-            assert fused_lower_bound_s1(observed_from_full(law), "l0") == pytest.approx(
-                max(0.0, tau0), abs=1e-12), seed
+    @pytest.mark.parametrize("seed", range(50))
+    def test_unconfounded_collapses_to_experimental(self, seed):
+        law = unconfounded(random_law(seed))
+        obs = observed_from_full(law)
+        _, _, tau0 = stratum_margins(law, "l0")
+        assert fused_lower_bound_s1(obs, "l0") == pytest.approx(max(0.0, tau0), abs=1e-12)
 
     def test_pure_harm_hits_one(self, law_e1):
         law = dataclasses.replace(
@@ -256,6 +269,36 @@ class TestRegimes:
         with pytest.raises(ValueError, match="returned 1.5"):
             regime_value(law_e1, bad)
 
+    @pytest.mark.parametrize("seed", range(100))
+    def test_validity_with_mass_accounting_oracle(self, seed):
+        # effect vs always-treat == P(S=1) minus the regime-matched mass
+        law = random_law(seed, n_levels=1 + seed % 3)
+        rng = np.random.default_rng(seed + 10_000)
+        p_harm = law.marginal_stratum_prob(1)
+        for _ in range(5):
+            table = {(l, astar, s): float(rng.random())
+                     for l in law.levels for astar in (0, 1) for s in STRATA}
+            regime = Regime("random", lambda l, astar, s: table[(l, astar, s)])
+            tau_g = regime_lower_bound(law, regime)
+            matched = sum(
+                law.p_level[l]
+                * (law.p_astar[l] if astar == 1 else 1 - law.p_astar[l])
+                * (law.p_strata[(l, astar)][0] * table[(l, astar, 1)]
+                   + law.p_strata[(l, astar)][1] * (1 - table[(l, astar, 2)]))
+                for l in law.levels for astar in (0, 1))
+            assert tau_g <= p_harm + 1e-12
+            assert tau_g == pytest.approx(p_harm - matched, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_noise_only_product_identity(self, seed):
+        law = random_law(seed, n_levels=1 + seed % 2)
+        tau0 = law.marginal_potential_mean(1) - law.marginal_potential_mean(0)
+        rng = np.random.default_rng(seed)
+        q = float(rng.uniform(0, 1))
+        tau_g = regime_lower_bound(law, Regime.noise(q))
+        assert tau_g == pytest.approx(tau0 * (1 - q), abs=1e-12)
+        assert max(0.0, tau0) >= max(0.0, tau_g) - 1e-12
+
     def test_unclipped_dominance_fails_for_negative_effect(self, law_e1):
         # fixture effect is -0.2; any interior noise level beats never-treat
         tau0 = -0.2
@@ -284,3 +327,15 @@ class TestImprovement:
             law_e1, p_astar={"l0": 0.9},
             p_strata={(l, a): shared for l in law_e1.levels for a in (0, 1)})
         assert not improvement_test(observed_from_full(law), "l0").improves
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_iff_against_bound_gain(self, seed):
+        law = random_law(seed, n_levels=1 + seed % 2)
+        obs = observed_from_full(law)
+        for l in law.levels:
+            result = improvement_test(obs, l)
+            if min(abs(result.att), abs(result.atu)) <= 1e-9:
+                continue
+            _, _, tau0 = stratum_margins(law, l)
+            gain = fused_lower_bound_s1(obs, l) - max(0.0, tau0)
+            assert result.improves == (gain > 1e-12)

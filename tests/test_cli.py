@@ -270,6 +270,16 @@ def golden_case(stem, argv, form, law_path, util_path, folder="law_golden"):
         return args, fh.read()
 
 
+@pytest.mark.parametrize("form", ["table", "machine"])
+@pytest.mark.parametrize("stem, argv, exit_code", LAW_GOLDEN, ids=[c[0] for c in LAW_GOLDEN])
+def test_law_mode_output_matches_golden_file(e1_law_path, pen3_util_path,
+                                             stem, argv, exit_code, form):
+    args, want = golden_case(stem, argv, form, e1_law_path, pen3_util_path)
+    code, out, _ = run(*args)
+    assert code == exit_code
+    assert out.encode("utf-8") == want
+
+
 def test_reused_parser_keeps_no_state_between_calls(e1_law_path, pen3_util_path):
     # Every golden command twice, the second pass reversed (so `bounds` runs
     # right after `bounds --fuse`), with a usage error, a --help exit and a

@@ -114,30 +114,35 @@ class TestCounterfactualPolicy:
             counterfactual_policy(exp_bounds(obs_e1, "l0"),
                                   spec_from_delta(1, 1, 1, 1), "cf-mystery")
 
-    def test_minimax_reduces_to_sign_when_identified_in_sign(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            b = exp_bounds(observed_from_full(random_law(seed)), "l0")
-            spec = spec_from_delta(*rng.uniform(-3, 3, size=4))
-            lo, hi = gain_interval(b, spec)
-            action = counterfactual_policy(b, spec, "cf-minimax-regret").assignments[("l0",)]
-            if lo > 1e-12:
-                assert action == 1, seed
-            elif hi < -1e-12:
-                assert action == 0, seed
+    @pytest.mark.parametrize("seed", range(100))
+    def test_minimax_reduces_to_sign_when_identified_in_sign(self, seed):
+        rng = np.random.default_rng(seed)
+        law = random_law(seed)
+        obs = observed_from_full(law)
+        spec = spec_from_delta(*rng.uniform(-3, 3, size=4))
+        b = exp_bounds(obs, "l0")
+        lo, hi = gain_interval(b, spec)
+        policy = counterfactual_policy(b, spec, "cf-minimax-regret")
+        if lo > 1e-12:
+            assert policy.assignments[("l0",)] == 1
+        elif hi < -1e-12:
+            assert policy.assignments[("l0",)] == 0
 
-    def test_positive_affine_rescaling_never_changes_actions(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            b = exp_bounds(observed_from_full(random_law(seed)), "l0")
-            spec = spec_from_delta(*rng.uniform(-3, 3, size=4))
-            scale, shift = float(rng.uniform(0.1, 5)), float(rng.uniform(-4, 4))
-            scaled = UtilitySpec(mu=spec.mu,
-                                 gamma={k: scale * v + shift for k, v in spec.gamma.items()})
-            for criterion in ("cf-minimax-regret", "cf-maximin", "cf-bayes"):
-                base = counterfactual_policy(b, spec, criterion)
-                rescaled = counterfactual_policy(b, scaled, criterion)
-                assert base.assignments == rescaled.assignments, (seed, criterion)
+    @pytest.mark.parametrize("seed", range(50))
+    def test_positive_affine_rescaling_never_changes_actions(self, seed):
+        rng = np.random.default_rng(seed)
+        law = random_law(seed)
+        obs = observed_from_full(law)
+        deltas = rng.uniform(-3, 3, size=4)
+        spec = spec_from_delta(*deltas)
+        scale, shift = float(rng.uniform(0.1, 5)), float(rng.uniform(-4, 4))
+        scaled = UtilitySpec(mu=spec.mu,
+                             gamma={k: scale * v + shift for k, v in spec.gamma.items()})
+        b = exp_bounds(obs, "l0")
+        for criterion in ("cf-minimax-regret", "cf-maximin", "cf-bayes"):
+            base = counterfactual_policy(b, spec, criterion)
+            rescaled = counterfactual_policy(b, scaled, criterion)
+            assert base.assignments == rescaled.assignments, criterion
 
 
 class TestPolicyValue:
@@ -167,6 +172,15 @@ class TestExcessOutcome:
         surv = survival_spec()
         cf = UtilitySpec(mu=surv.mu, gamma=induced_gamma(surv.mu))
         assert excess_outcome(law_e1, cf, surv) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_never_negative_for_survival_preferences(self, seed):
+        rng = np.random.default_rng(seed)
+        law = random_law(seed, n_levels=1 + seed % 2)
+        surv = survival_spec()
+        cf = UtilitySpec(mu=surv.mu,
+                         gamma=harm_penalized_gamma(surv.mu, float(rng.uniform(0, 6))))
+        assert excess_outcome(law, cf, surv) >= -1e-12
 
 
 class TestDominance:

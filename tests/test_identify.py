@@ -167,8 +167,8 @@ class TestIdentifiedMeans:
         assert means.fused_mean("l0", 0, 1) == pytest.approx(2 / 3, abs=1e-12)
         assert means.p_astar["l0"] == pytest.approx(0.3, abs=1e-12)
 
-    def test_entries_in_unit_interval(self):
-        for seed in range(50):
-            means = identified_means(observed_from_full(random_law(seed)), fuse=True)
-            assert all(0.0 <= v <= 1.0 for v in means.exp.values()), seed
-            assert all(0.0 <= v <= 1.0 for v in means.fused.values()), seed
+    @pytest.mark.parametrize("seed", range(50))
+    def test_entries_in_unit_interval(self, seed):
+        means = identified_means(observed_from_full(random_law(seed)), fuse=True)
+        assert all(0.0 <= v <= 1.0 for v in means.exp.values())
+        assert all(0.0 <= v <= 1.0 for v in means.fused.values())

@@ -211,6 +211,16 @@ class TestPushForward:
         for r in (0, 1):
             assert min(obs.p_ya[("l0", r)].values()) >= 0.0
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_blocks_normalize_on_random_laws(self, seed):
+        law = random_law(seed, n_levels=1 + seed % 3)
+        obs = observed_from_full(law)
+        for l in law.levels:
+            for r in (0, 1):
+                block = obs.p_ya[(l, r)]
+                assert sum(block.values()) == pytest.approx(1.0, abs=1e-12)
+                assert min(block.values()) >= 0.0
+
     def test_thousand_law_push_forward_sweep(self):
         for seed in range(1000):
             law = random_law(seed, n_levels=1 + seed % 3)
@@ -247,6 +257,15 @@ class TestStratumMargins:
     def test_unknown_level(self, law_e1):
         with pytest.raises(ValueError, match="unknown level"):
             stratum_margins(law_e1, "nope")
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_difference_identity_on_random_laws(self, seed):
+        # the effect equals the harmed-minus-saved mass exactly
+        law = random_law(seed, n_levels=2)
+        for l in law.levels:
+            probs = law.strata_marginal(l)
+            _, _, ate = stratum_margins(law, l)
+            assert ate == pytest.approx(probs[0] - probs[1], abs=1e-12)
 
 
 @pytest.fixture

@@ -24,6 +24,12 @@ class TestRandomLaw:
         assert random_law(7, n_levels=3) == random_law(7, n_levels=3)
         assert random_law(7) != random_law(8)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_always_valid(self, seed):
+        # rebuilding runs the construction checks again on the sampled tables
+        law = random_law(seed, n_levels=1 + seed % 4)
+        assert dataclasses.replace(law) == law
+
     def test_ten_thousand_seeds_always_valid(self):
         for seed in range(10_000):
             law = random_law(seed, n_levels=1 + seed % 4)
@@ -235,18 +241,18 @@ class TestEstimation:
         with pytest.raises(ValueError, match="smoothing must be finite and non-negative"):
             estimate_observed_law(data, smoothing=smoothing)
 
-    def test_end_to_end_consistency(self):
-        for seed in range(20):
-            law = random_law(seed, n_levels=1)
-            truth = observed_from_full(law)
-            est = estimate_observed_law(sample_dataset(law, 10**6, seed=seed + 500))
-            for l in law.levels:
-                for a in (0, 1):
-                    assert exp_potential_mean(est, a, l) == pytest.approx(
-                        exp_potential_mean(truth, a, l), abs=0.01), (seed, a)
-                    for astar in (0, 1):
-                        assert fused_potential_mean(est, a, astar, l, tol=0.05) == pytest.approx(
-                            fused_potential_mean(truth, a, astar, l), abs=0.01), (seed, a, astar)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_end_to_end_consistency(self, seed):
+        law = random_law(seed, n_levels=1)
+        truth = observed_from_full(law)
+        est = estimate_observed_law(sample_dataset(law, 10**6, seed=seed + 500))
+        for l in law.levels:
+            for a in (0, 1):
+                assert exp_potential_mean(est, a, l) == pytest.approx(
+                    exp_potential_mean(truth, a, l), abs=0.01)
+                for astar in (0, 1):
+                    assert fused_potential_mean(est, a, astar, l, tol=0.05) == pytest.approx(
+                        fused_potential_mean(truth, a, astar, l), abs=0.01)
 
 
 def reference_parse(text: str) -> CellCounts:

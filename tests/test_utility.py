@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from harmbounds import (FileFormatError, GainEqualityError, GammaMissingError,
@@ -107,6 +108,20 @@ class TestMarginFastPath:
         for spec in (spec_from_delta(-2.0, 2.0, 0.0, 0.0), spec_from_delta(3.0, -1.0, 0.5, 1.5)):
             full = expected_cf_utility_diff(spec, probs)
             assert gain_equality_diff(spec, p_y1, p_y0) == pytest.approx(full, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_matches_full_sum_for_random_balanced_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        d1, d2, d3 = rng.uniform(-5, 5, size=3)
+        d4 = d1 + d2 - d3  # forces gain equality
+        spec = spec_from_delta(d1, d2, d3, d4)
+        w = rng.uniform(0.01, 1.0, size=4)
+        probs = tuple(w / w.sum())
+        p_y1 = probs[0] + probs[2]
+        p_y0 = probs[1] + probs[2]
+        full = expected_cf_utility_diff(spec, probs)
+        fast = gain_equality_diff(spec, p_y1, p_y0)
+        assert fast == pytest.approx(full, abs=1e-12)
 
 
 class TestOutcomeUtility:
