@@ -53,6 +53,7 @@ independently and serves as the oracle for both endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import IncompatibleLawsError
 from .identify import DEFAULT_TOL, check_tol, exp_potential_mean
@@ -143,9 +144,9 @@ def fused_bounds(obs: ObservedLaw, l: str, tol: float = DEFAULT_TOL) -> StrataBo
     p_y1 = exp_potential_mean(obs, 1, l)
     p_y0 = exp_potential_mean(obs, 0, l)
     cells = (obs.p_joint(y, a, l, 0) for y, a in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    # Exact integers at the largest power-of-two denominator.
+    # Exact integers at the least common denominator: for floats, the largest power of two.
     ratios = [v.as_integer_ratio() for v in (p_y1, p_y0, *cells, tol)]
-    scale = max(d for _, d in ratios)
+    scale = lcm(*(d for _, d in ratios))
     m1, m0, o00, o01, o10, o11, t = (n * (scale // d) for n, d in ratios)
     xs = _counted_roots((0, o10 + o11 - m0), (o11, o01 + o10 + o11 - m0), t)
     zs = _counted_roots((0, m1 - o10 - o11), (o00, m1 - o11), t)

@@ -27,7 +27,7 @@ from .decide import (CRITERIA, counterfactual_report, interventionist_report, po
 from .errors import (FileFormatError, GainEqualityError, GammaMissingError,
                      IncompatibleLawsError, LawValidationError,
                      NotPointIdentifiedError, PartialPolicyError, PositivityError)
-from .identify import identified_means
+from .identify import DEFAULT_TOL, identified_means
 from .laws import STRATA, observed_from_full, read_law_file
 from .utility import UtilitySpec, read_utility_file
 
@@ -92,7 +92,7 @@ _OPTIONS = {
                      help="emit hidden intention and stratum columns when simulating"),
     "--machine": dict(action="store_true",
                       help="tab-separated key:value records instead of tables"),
-    "--tol": dict(type=float, default=1e-9,
+    "--tol": dict(type=float, default=DEFAULT_TOL,
                   help="model-compatibility slack for fused identification "
                        "(raise for finite-sample inputs)"),
     "--out": dict(help="write the CSV here instead of standard output"),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import FileFormatError, GainEqualityError, GammaMissingError
-from .laws import STRATA, potential_outcome
+from .laws import STRATA, _check_action, potential_outcome
 
 GAIN_TOL = 1e-9
 
@@ -132,8 +132,7 @@ def gain_equality_diff(spec: UtilitySpec, p_y1: float, p_y0: float) -> float:
 
 def expected_int_utility(spec: UtilitySpec, a: int, p_ya: float) -> float:
     """``E[mu(Y^a, a)]`` given the outcome mean ``P(Y^a = 1) = p_ya``."""
-    if a not in (0, 1):
-        raise ValueError(f"a must be 0 or 1, got {a!r}")
+    _check_action(a)
     if not 0.0 <= p_ya <= 1.0:
         raise ValueError("p_ya must lie in [0, 1]")
     return spec.mu[(1, a)] * p_ya + spec.mu[(0, a)] * (1.0 - p_ya)

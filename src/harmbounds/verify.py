@@ -34,7 +34,7 @@ structures is eliminated once, by Gauss-Jordan over ``Fraction``, into
 distinct integer rows, compiled into one straight-line function of the
 right-hand side, with each basis an index per cell into the values it
 returns.  Each call then runs in plain integers: it scales its float
-inputs to integers at their largest power-of-two denominator, calls that
+inputs to integers at their least common denominator, calls that
 function once, reads each vertex off by index and divides once at the end.
 """
 
@@ -332,7 +332,7 @@ def sweep_s5(trials: int, seed: int) -> _Checks:
 # bases, so each distinct row is kept once and a basis is an index per cell
 # into the values of those rows, plus one zero slot; the distinct rows are
 # compiled once into one function returning all those values.  Per call,
-# the right-hand sides and ``tol`` are integers at their common power-of-two
+# the right-hand sides and ``tol`` are integers at their least common
 # denominator (every float is dyadic, so it is the largest of theirs), one
 # call of that function gives every value, each vertex is read off by
 # index, and each result is one correctly rounded ``int / int``: exact
@@ -492,12 +492,12 @@ def _stratum_ranges(vertices: tuple[list[tuple[int, ...]], int]) -> list[tuple[f
 
 
 def _common_scale(values: Iterable[float]) -> tuple[int, list[int]]:
-    """``values`` as integers over their common denominator, and that denominator.
+    """``values`` as integers over their least common denominator, and that denominator.
 
-    Every float's denominator is a power of two, so the common one is the largest.
+    Every float's denominator is a power of two, so for floats it is the largest.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    scale = max(d for _, d in ratios)
+    scale = lcm(*(d for _, d in ratios))
     return scale, [n * (scale // d) for n, d in ratios]
 
 

@@ -3,9 +3,8 @@ import os
 
 import pytest
 
+from golden_cases import DATA_DIR
 from harmbounds import FullLaw, observed_from_full
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def make_law_e1() -> FullLaw:
@@ -35,6 +34,11 @@ def simulate_digests() -> list:
             for law, n, seed, mode, digest in cases]
 
 
+def with_strata(law: FullLaw, block: tuple) -> FullLaw:
+    """``law`` with ``block`` as every stratum block."""
+    return dataclasses.replace(law, p_strata={(l, a): block for l in law.levels for a in (0, 1)})
+
+
 def unconfounded(law: FullLaw) -> FullLaw:
     """``law`` with each level's A* = 1 stratum block copied onto A* = 0."""
     return dataclasses.replace(law, p_strata={(l, astar): law.p_strata[(l, 1)]
@@ -49,13 +53,3 @@ def law_e1() -> FullLaw:
 @pytest.fixture
 def obs_e1(law_e1):
     return observed_from_full(law_e1)
-
-
-@pytest.fixture
-def e1_law_path() -> str:
-    return os.path.join(DATA_DIR, "e1.law")
-
-
-@pytest.fixture
-def pen3_util_path() -> str:
-    return os.path.join(DATA_DIR, "surv_pen3.util")

@@ -1,19 +1,20 @@
 import dataclasses
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from harmbounds import (IncompatibleLawsError, Regime, STRATA, att_atu, exp_bounds,
+from harmbounds import (IncompatibleLawsError, ObservedLaw, Regime, STRATA, att_atu, exp_bounds,
                         exp_potential_mean, fused_bounds, fused_lower_bound_s1,
                         fused_potential_mean,
                         identified_means, improvement_test, observed_from_full, random_law,
                         regime_lower_bound, regime_value, stratum_margins)
 from harmbounds.bounds import family_bounds
-from harmbounds.verify import (_stratum_ranges, polytope_vertices, sharp_bounds_lp,
+from harmbounds.verify import (_common_scale, _stratum_ranges, polytope_vertices, sharp_bounds_lp,
                                strata_system, stratum_target)
 
-from conftest import unconfounded
+from conftest import unconfounded, with_strata
 
 
 @pytest.mark.parametrize("s", [0, 5])
@@ -32,17 +33,13 @@ class TestExpBounds:
         assert (b.p_lo, b.p_hi) == pytest.approx((0.0, 0.3), abs=1e-12)
 
     def test_never_one_margin_pins_everything(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.0, 0.5, 0.0, 0.5)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (0.0, 0.5, 0.0, 0.5))
         b = exp_bounds(observed_from_full(law), "l0")
         assert b.interval(1) == pytest.approx((0.0, 0.0), abs=1e-12)
         assert b.interval(3) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_certain_outcomes_identify_pure_harm(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (1.0, 0.0, 0.0, 0.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (1.0, 0.0, 0.0, 0.0))
         b = exp_bounds(observed_from_full(law), "l0")
         assert b.interval(1) == pytest.approx((1.0, 1.0), abs=1e-12)
         assert b.p_hi - b.p_lo <= 1e-12
@@ -82,9 +79,7 @@ class TestFusedLowerBound:
         assert fused_lower_bound_s1(obs, "l0") == pytest.approx(max(0.0, tau0), abs=1e-12)
 
     def test_pure_harm_hits_one(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (1.0, 0.0, 0.0, 0.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (1.0, 0.0, 0.0, 0.0))
         assert fused_lower_bound_s1(observed_from_full(law), "l0") == pytest.approx(1.0)
 
 
@@ -168,6 +163,16 @@ class TestSharpBoundsLP:
         system = strata_system(obs_e1, "l0", fuse=False)
         assert sharp_bounds_lp(system, stratum_target(1)) == pytest.approx((0.0, 0.3), abs=1e-9)
         assert sharp_bounds_lp(system, stratum_target(3)) == pytest.approx((0.0, 0.3), abs=1e-9)
+
+    def test_fraction_inputs_scale_at_their_least_common_denominator(self):
+        # 3, the largest denominator, is a common one only for floats, whose are powers of two
+        trial = {(0, 0): F(1, 6), (0, 1): F(1, 3), (1, 0): F(1, 3), (1, 1): F(1, 6)}
+        obs = ObservedLaw(levels=("l0",), p_level={"l0": F(1)}, p_r1={"l0": F(1, 2)},
+                          p_ya={("l0", 1): trial, ("l0", 0): dict.fromkeys(trial, F(1, 4))})
+        system = strata_system(obs, "l0", fuse=True)
+        assert fused_bounds(obs, "l0", tol=0).p_hi == 1 / 6
+        assert sharp_bounds_lp(system, stratum_target(1), tol=0)[1] == 1 / 6
+        assert _common_scale([F(1, 3), F(1, 2)]) == (6, [2, 3])
 
     def test_shared_vertex_enumeration(self, obs_e1):
         # the four stratum ranges read off one shared vertex list equal one LP per stratum
@@ -323,9 +328,7 @@ class TestImprovement:
     def test_intention_without_information(self, law_e1):
         # identical strata across intention arms but a very uneven split
         shared = (0.25, 0.15, 0.35, 0.25)
-        law = dataclasses.replace(
-            law_e1, p_astar={"l0": 0.9},
-            p_strata={(l, a): shared for l in law_e1.levels for a in (0, 1)})
+        law = dataclasses.replace(with_strata(law_e1, shared), p_astar={"l0": 0.9})
         assert not improvement_test(observed_from_full(law), "l0").improves
 
     @pytest.mark.parametrize("seed", range(200))

@@ -13,38 +13,29 @@ import sys
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import simulate_digests
+from golden_cases import CSV, DATA, E1, LAW, PEN3, SIMULATE, VERIFY
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INSTALLED = shutil.which("harmbounds")
 SCRIPT = [INSTALLED] if INSTALLED else [sys.executable, "-m", "harmbounds.cli"]
-E1 = os.path.join(DATA_DIR, "e1.law")
-PEN3 = os.path.join(DATA_DIR, "surv_pen3.util")
-E1_CSV = os.path.join(DATA_DIR, "simulate_golden", "e1_n400_seed7.csv")
 
 
 def harmbounds(*args, env=None) -> subprocess.CompletedProcess:
     return subprocess.run([*SCRIPT, *args], capture_output=True, env=env)
 
 
-def golden(*parts) -> bytes:
-    with open(os.path.join(DATA_DIR, *parts), "rb") as fh:
-        return fh.read()
+CONSOLE = {"bounds": LAW["bounds_fuse-table"],
+           "decide-machine": LAW["decide_cf_bayes_fuse-machine"],
+           # the sweeps, with the regimes they check, on this interpreter's numpy
+           "verify": VERIFY["table"], "verify-1000": VERIFY["1000"],
+           "data-bounds": DATA["bounds_fuse-e1_n400_seed7-0-table"]}
 
 
-@pytest.mark.parametrize("args, want", [
-    (["bounds", "--law", E1, "--fuse"], ("law_golden", "bounds_fuse.txt")),
-    (["decide", "--law", E1, "--utility", PEN3, "--criterion", "cf-bayes", "--fuse", "--machine"],
-     ("law_golden", "decide_cf_bayes_fuse_machine.txt")),
-    # the sweeps, with the regimes they check, on this interpreter's numpy
-    (["verify", "--trials", "200", "--seed", "0"], ("verify_trials200_seed0.txt",)),
-    (["verify", "--trials", "1000", "--seed", "1"], ("verify_trials1000_seed1.txt",)),
-    (["bounds", "--data", E1_CSV, "--fuse", "--tol", "0.02"],
-     ("data_golden", "e1_n400_seed7_bounds_fuse_smoothing0.txt")),
-], ids=["bounds", "decide-machine", "verify", "verify-1000", "data-bounds"])
-def test_output_matches_golden_file(args, want):
-    proc = harmbounds(*args)
-    assert (proc.returncode, proc.stdout) == (0, golden(*want))
+@pytest.mark.parametrize("case", CONSOLE.values(), ids=list(CONSOLE))
+def test_output_matches_golden_file(case):
+    proc = harmbounds(*case.argv)
+    assert (proc.returncode, proc.stdout) == (case.exit_code, case.read())
 
 
 def test_help():
@@ -61,23 +52,21 @@ def test_option_the_subcommand_does_not_read_is_refused():
 def test_simulate_out_matches_golden_file(tmp_path):
     # the PCG64 stream and the --out path on this interpreter's numpy
     out = tmp_path / "s.csv"
-    proc = harmbounds("simulate", "--law", E1, "--n", "400", "--seed", "7", "--oracle",
-                      "--out", str(out))
+    proc = harmbounds(*SIMULATE["oracle"].argv, "--out", str(out))
     assert (proc.returncode, proc.stdout) == (0, b"")
-    assert out.read_bytes() == golden("simulate_golden", "e1_n400_seed7_oracle.csv")
+    assert out.read_bytes() == SIMULATE["oracle"].read()
 
 
 def test_simulate_stream_matches_digest():
     # PCG64.advance and choice's use of the stream, across three chunks of rows
-    case = ["e1.law", "131073", "5", "plain"]
-    lines = golden("simulate_golden", "streaming.sha256").decode().splitlines()
-    want = [line.split()[4] for line in lines if line.split()[:4] == case]
+    want = [case.values[4] for case in simulate_digests() if case.id == "e1.law-131073-plain"]
     proc = harmbounds("simulate", "--law", E1, "--n", "131073", "--seed", "5")
     assert proc.returncode == 0
     assert [hashlib.sha256(proc.stdout).hexdigest()] == want
 
 
-@pytest.mark.parametrize("source", [["--law", E1], ["--data", E1_CSV, "--tol", "0.02"]],
+@pytest.mark.parametrize("source", [["--law", E1],
+                                    ["--data", CSV["e1_n400_seed7"], "--tol", "0.02"]],
                          ids=["law", "data"])
 def test_analysis_does_not_import_numpy(source):
     # only simulate and verify need numpy, and only verify's LP oracle needs fractions

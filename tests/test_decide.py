@@ -11,6 +11,7 @@ from harmbounds import (NotPointIdentifiedError, PartialPolicyError, Policy,
                         observed_from_full, policy_value, random_law, survival_spec,
                         true_bounds)
 
+from conftest import with_strata
 from test_utility import spec_from_delta
 
 
@@ -28,9 +29,7 @@ class TestInterventionistPolicy:
         assert policy_value(law_e1, policy) == pytest.approx(0.2, abs=1e-9)
 
     def test_tie_breaks_to_withhold(self, law_e1):
-        tied = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.1, 0.1, 0.3, 0.5)
-                              for l in law_e1.levels for a in (0, 1)})
+        tied = with_strata(law_e1, (0.1, 0.1, 0.3, 0.5))
         means = identified_means(observed_from_full(tied))
         report = interventionist_report(means, survival_spec())
         [cell] = report.cells

@@ -7,7 +7,7 @@ from harmbounds import (IncompatibleLawsError, PositivityError, att_atu,
                         identified_means, observed_from_full, parse_law_text,
                         random_law)
 
-from conftest import unconfounded
+from conftest import unconfounded, with_strata
 
 
 class TestExperimentalMeans:
@@ -145,9 +145,7 @@ class TestAttAtu:
             assert atu == pytest.approx(ate, abs=1e-12)
 
     def test_degenerate_always_one_stratum(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.0, 0.0, 1.0, 0.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (0.0, 0.0, 1.0, 0.0))
         att, atu = att_atu(observed_from_full(law), "l0")
         assert att == pytest.approx(0.0, abs=1e-12)
         assert atu == pytest.approx(0.0, abs=1e-12)

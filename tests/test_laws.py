@@ -10,7 +10,8 @@ from harmbounds import (FileFormatError, LawValidationError, STRATA,
                         random_law, stratum_margins)
 from harmbounds.laws import STRATUM_OUTCOMES
 
-from conftest import make_law_e1
+from conftest import make_law_e1, with_strata
+from golden_cases import E1
 
 
 def test_stratum_outcome_bijection():
@@ -54,6 +55,11 @@ FULL_LAW_FAULTS = {
     "stratum-entry-range": (
         lambda law: dict(p_strata={**law.p_strata, ("l0", 1): (0.5, 1.5, -1.0, 0.0)}),
         r"^P\(S=2 \| level 'l0', astar=1\) = 1.5 is not a probability$"),
+    "missing-stratum-block": (lambda law: dict(p_strata={("l0", 1): law.p_strata[("l0", 1)]}),
+                              r"^missing stratum block \(level 'l0', astar=0\)$"),
+    "stratum-block-length": (
+        lambda law: dict(p_strata={**law.p_strata, ("l0", 1): (0.5, 0.5, 0.0)}),
+        r"^stratum block \(level 'l0', astar=1\) has 3 entries$"),
 }
 
 
@@ -184,18 +190,14 @@ class TestPushForward:
         assert obs_e1.p_a(1, "l0", 1) == pytest.approx(law_e1.p_treat["l0"], abs=1e-12)
 
     def test_nobody_dies_under_never_one_stratum(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.0, 0.0, 0.0, 1.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (0.0, 0.0, 0.0, 1.0))
         obs = observed_from_full(law)
         for r in (0, 1):
             for a in (0, 1):
                 assert obs.p_joint(1, a, "l0", r) == 0.0
 
     def test_always_one_stratum_dies_in_both_arms(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.0, 0.0, 1.0, 0.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (0.0, 0.0, 1.0, 0.0))
         obs = observed_from_full(law)
         for a in (0, 1):
             assert obs.p_y_given_a(a, "l0", 1) == pytest.approx(1.0)
@@ -243,15 +245,11 @@ class TestStratumMargins:
         assert ate == pytest.approx(-0.2, abs=1e-12)
 
     def test_equal_harm_and_benefit_mass_cancels(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (0.2, 0.2, 0.25, 0.35)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (0.2, 0.2, 0.25, 0.35))
         assert stratum_margins(law, "l0")[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_harm_law(self, law_e1):
-        law = dataclasses.replace(
-            law_e1, p_strata={(l, a): (1.0, 0.0, 0.0, 0.0)
-                              for l in law_e1.levels for a in (0, 1)})
+        law = with_strata(law_e1, (1.0, 0.0, 0.0, 0.0))
         assert stratum_margins(law, "l0") == (1.0, 0.0, 1.0)
 
     def test_unknown_level(self, law_e1):
@@ -269,8 +267,8 @@ class TestStratumMargins:
 
 
 @pytest.fixture
-def e1_text(e1_law_path) -> str:
-    with open(e1_law_path) as fh:
+def e1_text() -> str:
+    with open(E1) as fh:
         return fh.read()
 
 
@@ -292,6 +290,9 @@ class TestLawFiles:
         (lambda t: t + "S l0 0 0.1 0.2 0.3 0.4\n", "duplicate S record"),
         (lambda t: t + "TRIAL l0 0.9 0.1\n", "line 7: duplicate TRIAL record for 'l0'"),
         (lambda t: t + "ASTAR l0 0.5\n", "line 7: duplicate ASTAR record for 'l0'"),
+        (lambda t: "# no levels\n", "no L records found"),
+        (lambda t: t.replace("S l0 0 ", "# S l0 0 "), "missing S record for level 'l0', astar=0"),
+        (lambda t: t.replace("L l0 1.0", "L l0"), "line 2: L record needs 2 fields, got 1"),
     ])
     def test_malformed_files(self, e1_text, mutate, message):
         with pytest.raises(FileFormatError, match=message):

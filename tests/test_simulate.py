@@ -17,6 +17,7 @@ from harmbounds import (CellCounts, FileFormatError, FullLaw, ObservedLaw,
 from harmbounds.simulate import _LineTable, _sample_chunks
 
 from conftest import DATA_DIR, simulate_digests, unconfounded
+from golden_cases import E1
 
 
 class TestRandomLaw:
@@ -390,8 +391,8 @@ class TestCsv:
             counts.levels = ("x",)
         assert pickle.loads(pickle.dumps(counts)) == counts
 
-    def test_format_rejects_a_label_with_a_comma(self, e1_law_path):
-        with open(e1_law_path, encoding="utf-8") as fh:
+    def test_format_rejects_a_label_with_a_comma(self):
+        with open(E1, encoding="utf-8") as fh:
             law = parse_law_text(fh.read().replace(" l0 ", " a,b "))
         assert sample_dataset(law, 10, seed=13).levels == ("a,b",)  # counts keep the label
         with pytest.raises(ValueError, match=r"^level label 'a,b' contains ','"):

@@ -6,6 +6,8 @@ from harmbounds import (FileFormatError, GainEqualityError, GammaMissingError,
                         gain_equality_diff, gain_equality_holds, harm_penalized_gamma,
                         induced_gamma, parse_utility_text, survival_spec)
 
+from golden_cases import PEN3
+
 
 def spec_from_delta(d1, d2, d3, d4, mu=None) -> UtilitySpec:
     """Gamma table with gamma(s,0)=0, so delta is given directly."""
@@ -138,10 +140,14 @@ class TestOutcomeUtility:
         with pytest.raises(ValueError):
             expected_int_utility(survival_spec(), 0, -0.1)
 
+    def test_action_must_be_0_or_1(self):
+        with pytest.raises(ValueError, match="^a must be 0 or 1, got 2$"):
+            expected_int_utility(survival_spec(), 2, 0.5)
+
 
 class TestUtilityFiles:
-    def test_fixture_file(self, pen3_util_path):
-        with open(pen3_util_path) as fh:
+    def test_fixture_file(self):
+        with open(PEN3) as fh:
             spec = parse_utility_text(fh.read())
         assert spec.delta == (-4.0, 1.0, 0.0, 0.0)
 
@@ -153,6 +159,9 @@ class TestUtilityFiles:
         ("NU 0 0 1.0\n", "unknown record"),
         ("MU 0 0 x\n", "malformed"),
         ("MU 0 0 -inf\n", "line 1: MU value '-inf' is not finite"),
+        ("MU 0 0\n", "line 1: MU record needs 3 fields"),
+        ("GAMMA 5 0 1.0\n", "line 1: GAMMA needs s in 1..4 and a in 0..1"),
+        ("GAMMA 1 0 1.0\nGAMMA 1 0 2.0\n", "line 2: duplicate GAMMA 1 0"),
     ])
     def test_malformed(self, text, message):
         with pytest.raises(FileFormatError, match=message):
